@@ -72,7 +72,7 @@ def _attr_str(value: object) -> str:
 
 
 def _freeze_attrs(attrs: dict[str, object]) -> tuple[tuple[str, str], ...]:
-    return tuple((key, _attr_str(value)) for key, value in attrs.items())
+    return tuple([(key, _attr_str(value)) for key, value in attrs.items()])
 
 
 @dataclass(frozen=True)
@@ -140,15 +140,6 @@ class TraceRecord:
         return [span for span in self.spans if span.name == name]
 
 
-@dataclass
-class _OpenSpan:
-    span_id: int
-    parent_id: Optional[int]
-    name: str
-    start: float
-    attrs: tuple[tuple[str, str], ...]
-
-
 class Tracer:
     """Builds one pending trace at a time and commits it to a recorder.
 
@@ -159,6 +150,14 @@ class Tracer:
     (pageview produced nothing).  Every span method is a silent no-op
     while no trace is pending, so instrumented components behave
     identically when constructed standalone.
+
+    Most pageviews are abandoned, so a pending span costs one list: raw
+    ``[span_id, parent_id, name, start, end, attrs]`` with the caller's
+    attribute dict unfrozen and ``end`` None while the span is open.
+    Entries are appended in begin order, so ``span_id`` is the list
+    index; the open-span stack holds the same entries.  Only
+    :meth:`commit` builds :class:`SpanRecord`\\ s and stringifies
+    attributes; :meth:`abandon` only clears the pending flag.
     """
 
     def __init__(self, recorder: "FlightRecorder | None" = None,
@@ -166,9 +165,8 @@ class Tracer:
         self.recorder = recorder if recorder is not None else FlightRecorder()
         self.seed = seed
         self.scope = scope
-        self._spans: list[SpanRecord] = []
-        self._stack: list[_OpenSpan] = []
-        self._next_span_id = 0
+        self._spans: list[list] = []
+        self._stack: list[list] = []
         self._active = False
         self._now = 0.0
         self._last_end = 0.0
@@ -199,9 +197,12 @@ class Tracer:
             raise TraceError("a trace is already pending; commit or "
                              "abandon it before starting another")
         self._active = True
-        self._now = at
-        self._last_end = at
-        self._push(name, at, attrs)
+        self._now = self._last_end = at
+        root = [0, None, name, at, None, attrs]
+        self._spans = [root]
+        self._stack = [root]
+        self._impression_id = self._record_id = None
+        self._campaign_id = ""
 
     def set_impression(self, impression_id: int, campaign_id: str) -> None:
         """Record the impression identity the pending trace belongs to."""
@@ -229,32 +230,30 @@ class Tracer:
             raise TraceError("cannot commit a trace without an impression "
                              "identity; call set_impression first")
         close_at = end if end is not None else self._last_end
-        while self._stack:
-            self._pop(max(close_at, self._stack[-1].start))
+        for entry in self._stack:
+            entry[4] = max(close_at, entry[3])
         trace = TraceRecord(
             trace_id=trace_id_for(self.seed, self.scope, self._impression_id),
             shard_scope=self.scope,
             impression_id=self._impression_id,
             campaign_id=self._campaign_id,
             record_id=self._record_id,
-            spans=tuple(sorted(self._spans, key=lambda span: span.span_id)),
+            spans=tuple([
+                SpanRecord(span_id, parent_id, name, start, stop,
+                           _freeze_attrs(attrs))
+                for span_id, parent_id, name, start, stop, attrs
+                in self._spans]),
         )
-        self._reset()
+        self._active = False
         self.recorder.record(trace)
         return trace
 
     def abandon(self) -> None:
-        """Discard the pending trace (the pageview produced nothing)."""
-        self._reset()
+        """Discard the pending trace (the pageview produced nothing).
 
-    def _reset(self) -> None:
-        self._spans = []
-        self._stack = []
-        self._next_span_id = 0
+        Only the pending flag flips; :meth:`start` resets the rest.
+        """
         self._active = False
-        self._impression_id = None
-        self._campaign_id = ""
-        self._record_id = None
 
     # -- span recording ------------------------------------------------ #
 
@@ -262,52 +261,48 @@ class Tracer:
         """Open a nested span; children attach until :meth:`end`."""
         if not self._active:
             return
-        self.advance_to(at)
-        self._push(name, at, attrs)
+        if at > self._now:
+            self._now = at
+        entry = [len(self._spans), self._stack[-1][0], name, at, None, attrs]
+        self._spans.append(entry)
+        self._stack.append(entry)
 
     def end(self, at: float) -> None:
         """Close the innermost open span (the root only closes at commit)."""
         if not self._active or len(self._stack) <= 1:
             return
-        self.advance_to(at)
-        self._pop(at)
+        if at > self._now:
+            self._now = at
+        entry = self._stack.pop()
+        stop = entry[4] = max(at, entry[3])
+        if stop > self._last_end:
+            self._last_end = stop
 
     def span(self, name: str, start: float, end: float,
              **attrs: object) -> None:
         """Record one complete span under the innermost open span."""
         if not self._active:
             return
-        self.advance_to(end)
-        self._last_end = max(self._last_end, end)
-        parent = self._stack[-1].span_id if self._stack else None
-        self._spans.append(SpanRecord(
-            span_id=self._take_id(), parent_id=parent, name=name,
-            start=start, end=end, attrs=_freeze_attrs(attrs)))
+        if end < start:
+            raise TraceError(f"span {name} ends before it starts "
+                             f"({end} < {start})")
+        if end > self._now:
+            self._now = end
+        if end > self._last_end:
+            self._last_end = end
+        self._spans.append([len(self._spans), self._stack[-1][0], name,
+                            start, end, attrs])
 
     def event(self, name: str, at: float, **attrs: object) -> None:
         """Record an instantaneous span."""
-        self.span(name, at, at, **attrs)
-
-    def _push(self, name: str, at: float,
-              attrs: dict[str, object]) -> None:
-        parent = self._stack[-1].span_id if self._stack else None
-        self._stack.append(_OpenSpan(
-            span_id=self._take_id(), parent_id=parent, name=name,
-            start=at, attrs=_freeze_attrs(attrs)))
-
-    def _pop(self, at: float) -> None:
-        open_span = self._stack.pop()
-        end = max(at, open_span.start)
-        self._last_end = max(self._last_end, end)
-        self._spans.append(SpanRecord(
-            span_id=open_span.span_id, parent_id=open_span.parent_id,
-            name=open_span.name, start=open_span.start, end=end,
-            attrs=open_span.attrs))
-
-    def _take_id(self) -> int:
-        span_id = self._next_span_id
-        self._next_span_id += 1
-        return span_id
+        if not self._active:
+            return
+        if at > self._now:
+            self._now = at
+        if at > self._last_end:
+            self._last_end = at
+        self._spans.append([len(self._spans), self._stack[-1][0], name,
+                            at, at, attrs])
 
 
 class NullTracer(Tracer):

@@ -143,6 +143,53 @@ class TestTracer:
         assert isinstance(NULL_TRACER, NullTracer)
 
 
+class CountingValue:
+    """An attribute value that counts how often it is stringified."""
+
+    def __init__(self) -> None:
+        self.stringified = 0
+
+    def __str__(self) -> str:
+        self.stringified += 1
+        return "counted"
+
+    def __format__(self, spec: str) -> str:
+        self.stringified += 1
+        return "counted"
+
+
+class TestPendingTraceLaziness:
+    def record_one_of_each(self, tracer, values):
+        tracer.start("root", at=0.0, value=values[0])
+        tracer.begin("child", at=1.0, value=values[1])
+        tracer.span("leaf", start=1.0, end=2.0, value=values[2])
+        tracer.event("instant", at=2.0, value=values[3])
+
+    def test_abandon_never_stringifies_attributes(self):
+        values = [CountingValue() for _ in range(4)]
+        tracer = Tracer(seed=1, scope="s")
+        self.record_one_of_each(tracer, values)
+        tracer.abandon()
+        assert [value.stringified for value in values] == [0, 0, 0, 0]
+
+    def test_commit_stringifies_each_attribute_once(self):
+        values = [CountingValue() for _ in range(4)]
+        tracer = Tracer(seed=1, scope="s")
+        self.record_one_of_each(tracer, values)
+        assert [value.stringified for value in values] == [0, 0, 0, 0]
+        tracer.set_impression(1, "C")
+        trace = tracer.commit()
+        assert [value.stringified for value in values] == [1, 1, 1, 1]
+        assert [span.attr("value") for span in trace.spans] \
+            == ["counted"] * 4
+
+    def test_backwards_span_on_pending_trace_raises_at_call_time(self):
+        tracer = Tracer(seed=1, scope="s")
+        tracer.start("root", at=0.0)
+        with pytest.raises(TraceError):
+            tracer.span("x", start=2.0, end=1.0)
+
+
 class TestFlightRecorder:
     def make_trace(self, index):
         return TraceRecord(

@@ -1,0 +1,73 @@
+"""Golden digests of the trace exports.
+
+The serial-vs-``--jobs`` trace tests compare two runs of the same code,
+so a change that moves both sides alike passes them.  These pin the
+bytes themselves: SHA-256 of the JSONL and Chrome exports and of one
+``explain`` receipt, for seed 2016 at the scale of the shared
+``small_result`` experiment (0.03).
+
+Digests are keyed by CPython minor version (float formatting and dict
+ordering are stable within one); a version with no entry skips.  After
+a deliberate change to trace output, copy the new digests from the
+failure messages of::
+
+    PYTHONPATH=src python -m pytest -q tests/obs/test_trace_golden.py
+"""
+
+import hashlib
+import sys
+
+import pytest
+
+from repro.obs.traceio import (
+    AuditVerdict,
+    dumps_chrome_trace,
+    dumps_trace_jsonl,
+    render_explain,
+)
+
+GOLDEN = {
+    (3, 11): {
+        "trace_jsonl":
+            "6a08870c8c7f75f84dae5e1b919b4515f9ba77c911df8a41c8982a7bc30ffa39",
+        "chrome_trace":
+            "5ac3be8f47c49a1b69dd3382c1122b3bd0dd8dc6fdf07c8fb5a3a5d164381047",
+        "explain":
+            "a0f8bae4a49c7089e93fe869c983c57c38ace500d33853e56980d5afac0bcf42",
+    },
+}
+
+
+def _receipt(result) -> str:
+    """The receipt of the store's first record, with fixed verdicts."""
+    record = next(iter(result.dataset.store))
+    trace = result.recorder.find_by_record(record.record_id)
+    verdicts = [AuditVerdict("viewability", "viewable", "golden"),
+                AuditVerdict("fraud", "clean", "golden")]
+    return render_explain(trace, verdicts,
+                          header_lines=[f"  creative {record.creative_id}"],
+                          audit_at=record.timestamp + record.exposure_seconds)
+
+
+EXPORTS = {
+    "trace_jsonl": lambda result: dumps_trace_jsonl(result.recorder.traces()),
+    "chrome_trace":
+        lambda result: dumps_chrome_trace(result.recorder.traces()),
+    "explain": _receipt,
+}
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    golden = GOLDEN.get(sys.version_info[:2])
+    if golden is None:
+        pytest.skip(f"no trace digests pinned for CPython "
+                    f"{sys.version_info[0]}.{sys.version_info[1]}")
+    return golden
+
+
+@pytest.mark.parametrize("export", sorted(EXPORTS))
+def test_trace_export_matches_golden_digest(small_result, pinned, export):
+    digest = hashlib.sha256(
+        EXPORTS[export](small_result).encode("utf-8")).hexdigest()
+    assert digest == pinned[export], f"{export} digest is now {digest}"
