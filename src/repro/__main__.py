@@ -214,9 +214,8 @@ def run_explain(argv: list[str]) -> int:
             detail=f"resolver stage {record.dc_stage or 'none'}, "
                    f"provider {record.provider or 'unknown'}"),
     ]
-    impressions_seen = len(result.dataset.store
-                           .by_user(record.campaign_id)
-                           .get(record.user_key, []))
+    impressions_seen = result.dataset.store.select(
+        record.campaign_id, "user_key").count((record.user_key,))
     cap = campaign.frequency_cap if campaign is not None else None
     if cap is None:
         verdicts.append(AuditVerdict(

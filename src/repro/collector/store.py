@@ -44,6 +44,27 @@ STORE_COLUMNS_VERSION = 1
 
 #: Tri-state byte encoding for Optional[bool] columns.
 _TRI_NONE = 2
+#: Decoding of the bool and tri-state byte columns, by byte value.
+_TRI_VALUES = (False, True, None)
+
+#: ``select`` fields read straight from a numeric column, by attribute.
+_NUMERIC_FIELDS = {
+    "record_id": "ids", "timestamp": "timestamp",
+    "exposure_seconds": "exposure", "mouse_moves": "mouse_moves",
+    "clicks": "clicks",
+}
+#: ``select`` fields read through the string table.
+_STRING_FIELDS = {
+    "campaign_id": "campaign", "creative_id": "creative", "url": "url",
+    "domain": "domain", "user_agent": "ua", "ip": "ip",
+    "ip_token": "ip_token", "provider": "provider", "country": "country",
+    "dc_stage": "dc_stage",
+}
+#: ``select`` fields decoded from a bool or tri-state byte column.
+_FLAG_FIELDS = {
+    "truncated": "truncated", "pixels_in_view": "pixels",
+    "is_datacenter": "is_dc",
+}
 
 
 class StoreSealedError(RuntimeError):
@@ -86,22 +107,30 @@ class ImpressionRecord:
         # Canonicalise the numeric/boolean fields to their declared JSON
         # types so a record round-tripped through the columnar backing
         # (which stores doubles/ints/bytes) serialises byte-identically
-        # to one held as a row.
-        object.__setattr__(self, "record_id", int(self.record_id))
-        object.__setattr__(self, "timestamp", float(self.timestamp))
-        object.__setattr__(self, "exposure_seconds",
-                           float(self.exposure_seconds))
-        object.__setattr__(self, "mouse_moves", int(self.mouse_moves))
-        object.__setattr__(self, "clicks", int(self.clicks))
-        object.__setattr__(self, "truncated", bool(self.truncated))
-        if self.pixels_in_view is not None:
-            object.__setattr__(self, "pixels_in_view",
-                               bool(self.pixels_in_view))
-        if self.global_rank is not None:
-            object.__setattr__(self, "global_rank", int(self.global_rank))
-        if self.is_datacenter is not None:
-            object.__setattr__(self, "is_datacenter",
-                               bool(self.is_datacenter))
+        # to one held as a row.  Only a value of another type is
+        # converted: on its own type the conversion is the identity.  A
+        # null non-nullable field still reaches (and fails) conversion.
+        setattr_ = object.__setattr__
+        if type(self.record_id) is not int:
+            setattr_(self, "record_id", int(self.record_id))
+        if type(self.timestamp) is not float:
+            setattr_(self, "timestamp", float(self.timestamp))
+        if type(self.exposure_seconds) is not float:
+            setattr_(self, "exposure_seconds", float(self.exposure_seconds))
+        if type(self.mouse_moves) is not int:
+            setattr_(self, "mouse_moves", int(self.mouse_moves))
+        if type(self.clicks) is not int:
+            setattr_(self, "clicks", int(self.clicks))
+        if type(self.truncated) is not bool:
+            setattr_(self, "truncated", bool(self.truncated))
+        pixels, rank, is_dc = (self.pixels_in_view, self.global_rank,
+                               self.is_datacenter)
+        if pixels is not None and type(pixels) is not bool:
+            setattr_(self, "pixels_in_view", bool(pixels))
+        if rank is not None and type(rank) is not int:
+            setattr_(self, "global_rank", int(rank))
+        if is_dc is not None and type(is_dc) is not bool:
+            setattr_(self, "is_datacenter", bool(is_dc))
         if self.record_id < 1:
             raise ValueError("record_id must be positive")
         if not self.campaign_id:
@@ -212,6 +241,8 @@ class _ColumnData:
 
     def append_record(self, record: ImpressionRecord,
                       record_id: Optional[int] = None) -> None:
+        intern = self.intern
+        url = record.url
         self.ids.append(record.record_id if record_id is None else record_id)
         self.timestamp.append(record.timestamp)
         self.exposure.append(record.exposure_seconds)
@@ -219,16 +250,16 @@ class _ColumnData:
         self.clicks.append(record.clicks)
         self.truncated.append(int(record.truncated))
         self.pixels.append(self._tri(record.pixels_in_view))
-        self.campaign.append(self.intern(record.campaign_id))
-        self.creative.append(self.intern(record.creative_id))
-        self.url.append(self.intern(record.url))
-        self.domain.append(self.intern(record.domain))
-        self.ua.append(self.intern(record.user_agent))
-        self.ip.append(self.intern(record.ip))
-        self.ip_token.append(self.intern(record.ip_token))
-        self.provider.append(self.intern(record.provider))
-        self.country.append(self.intern(record.country))
-        self.dc_stage.append(self.intern(record.dc_stage))
+        self.campaign.append(intern(record.campaign_id))
+        self.creative.append(intern(record.creative_id))
+        self.url.append(intern(url))
+        self.domain.append(intern(domain_of_url(url)))
+        self.ua.append(intern(record.user_agent))
+        self.ip.append(intern(record.ip))
+        self.ip_token.append(intern(record.ip_token))
+        self.provider.append(intern(record.provider))
+        self.country.append(intern(record.country))
+        self.dc_stage.append(intern(record.dc_stage))
         self.rank_present.append(0 if record.global_rank is None else 1)
         self.rank.append(record.global_rank or 0)
         self.is_dc.append(self._tri(record.is_datacenter))
@@ -882,22 +913,20 @@ class _ColumnarStore(ImpressionStore):
         return super().seal()
 
     def _build_indexes(self) -> None:
-        data = self._data
-        strings = data.strings
         campaign_rows: dict[int, array] = {}
         campaign_domains: dict[int, set[str]] = {}
         all_domains: set[str] = set()
         user_rows: dict[str, array] = {}
-        for row, campaign in enumerate(data.campaign):
+        for row, (campaign, domain, user_key) in enumerate(zip(
+                self._data.campaign, self._column("domain", None),
+                self._column("user_key", None))):
             rows = campaign_rows.get(campaign)
             if rows is None:
                 rows = campaign_rows[campaign] = array("I")
                 campaign_domains[campaign] = set()
             rows.append(row)
-            domain = strings[data.domain[row]]
             campaign_domains[campaign].add(domain)
             all_domains.add(domain)
-            user_key = self._user_key_at(row)
             grouped = user_rows.get(user_key)
             if grouped is None:
                 grouped = user_rows[user_key] = array("I")
@@ -906,13 +935,6 @@ class _ColumnarStore(ImpressionStore):
         self._campaign_domains = campaign_domains
         self._all_domains = all_domains
         self._user_rows = user_rows
-
-    def _user_key_at(self, row: int) -> str:
-        data = self._data
-        strings = data.strings
-        token = strings[data.ip_token[row]]
-        first = token if token else strings[data.ip[row]]
-        return f"{first}\x1f{strings[data.ua[row]]}"
 
     def _rows_for(self, campaign_id: str) -> "array | range":
         """Row positions of one campaign: index lookup once sealed, a
@@ -965,56 +987,52 @@ class _ColumnarStore(ImpressionStore):
         rows = range(len(self._data)) if campaign_id is None \
             else self._rows_for(campaign_id)
         grouped: dict[str, list[ImpressionRecord]] = {}
-        for row in rows:
-            grouped.setdefault(self._user_key_at(row), []).append(record(row))
+        for row, user_key in zip(rows, self._column("user_key", rows)):
+            grouped.setdefault(user_key, []).append(record(row))
         return grouped
 
-    def _column_getter(self, name: str) -> Callable[[int], object]:
+    def _column(self, name: str, rows: "array | range | None") -> Iterable:
+        """One ``select`` field over *rows* (every row when None), built
+        whole in row order."""
         data = self._data
         strings = data.strings
-        if name == "record_id":
-            return data.ids.__getitem__
-        if name in ("timestamp",):
-            return data.timestamp.__getitem__
-        if name == "exposure_seconds":
-            return data.exposure.__getitem__
-        if name == "mouse_moves":
-            return data.mouse_moves.__getitem__
-        if name == "clicks":
-            return data.clicks.__getitem__
-        if name == "truncated":
-            return lambda row: bool(data.truncated[row])
-        if name == "pixels_in_view":
-            return lambda row: (None if data.pixels[row] == _TRI_NONE
-                                else bool(data.pixels[row]))
-        if name == "is_datacenter":
-            return lambda row: (None if data.is_dc[row] == _TRI_NONE
-                                else bool(data.is_dc[row]))
+
+        def take(attribute: str, decode: "list | tuple | None" = None
+                 ) -> Iterable:
+            # One pass per column: the row subset and the decode through
+            # the string table (or a byte lookup) happen together.
+            column = getattr(data, attribute)
+            if decode is None:
+                return column if rows is None \
+                    else [column[row] for row in rows]
+            if rows is None:
+                return [decode[value] for value in column]
+            return [decode[column[row]] for row in rows]
+
+        if name in _NUMERIC_FIELDS:
+            return take(_NUMERIC_FIELDS[name])
+        if name in _STRING_FIELDS:
+            return take(_STRING_FIELDS[name], strings)
+        if name in _FLAG_FIELDS:
+            return take(_FLAG_FIELDS[name], _TRI_VALUES)
         if name == "global_rank":
-            return lambda row: (data.rank[row] if data.rank_present[row]
-                                else None)
-        string_columns = {
-            "campaign_id": data.campaign, "creative_id": data.creative,
-            "url": data.url, "domain": data.domain,
-            "user_agent": data.ua, "ip": data.ip, "ip_token": data.ip_token,
-            "provider": data.provider, "country": data.country,
-            "dc_stage": data.dc_stage,
-        }
-        column = string_columns.get(name)
-        if column is not None:
-            return lambda row: strings[column[row]]
+            return [rank if present else None for rank, present
+                    in zip(take("rank"), take("rank_present"))]
         if name == "identity":
-            return lambda row: (strings[data.ip_token[row]]
-                                or strings[data.ip[row]])
+            return [token or ip for token, ip
+                    in zip(take("ip_token", strings), take("ip", strings))]
         if name == "user_key":
-            return self._user_key_at
+            return [f"{token or ip}\x1f{ua}" for token, ip, ua
+                    in zip(take("ip_token", strings), take("ip", strings),
+                           take("ua", strings))]
         raise ValueError(f"unknown select field {name!r}")
 
     def select(self, campaign_id: Optional[str], *fields: str) -> list[tuple]:
-        getters = [self._column_getter(name) for name in fields]
-        rows = range(len(self._data)) if campaign_id is None \
-            else self._rows_for(campaign_id)
-        return [tuple(getter(row) for getter in getters) for row in rows]
+        rows = None if campaign_id is None else self._rows_for(campaign_id)
+        columns = [self._column(name, rows) for name in fields]
+        if not columns:
+            return [()] * (len(self._data) if rows is None else len(rows))
+        return list(zip(*columns))
 
     # -- persistence ------------------------------------------------------ #
 

@@ -128,7 +128,7 @@ class ExperimentResult:
 
     def logged(self, campaign_id: str) -> int:
         """Impressions our methodology managed to log for a campaign."""
-        return len(self.dataset.records(campaign_id))
+        return self.dataset.record_count(campaign_id)
 
 
 # ---------------------------------------------------------------------- #

@@ -33,15 +33,14 @@ def table1(result: ExperimentResult) -> tuple[Headers, Rows]:
     """
     headers = ["Campaign ID", "# Impressions", "# Publishers", "Start date",
                "End date", "CPM", "Targeted Keywords", "Targeted Location"]
+    dataset = result.dataset
     rows: Rows = []
-    for campaign_id in result.dataset.campaign_ids:
-        campaign = result.dataset.campaigns[campaign_id]
-        records = result.dataset.records(campaign_id)
-        publishers = {record.domain for record in records}
+    for campaign_id in dataset.campaign_ids:
+        campaign = dataset.campaigns[campaign_id]
         rows.append([
             campaign_id,
-            len(records),
-            len(publishers),
+            dataset.record_count(campaign_id),
+            len(dataset.audit_publishers(campaign_id)),
             _date(campaign.start_unix),
             _date(campaign.end_unix - 86_400.0),   # inclusive end date
             f"{campaign.cpm_eur:.2f} EUR",

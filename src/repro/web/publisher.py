@@ -19,6 +19,7 @@ are exactly what the rest of the pipeline consumes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,17 @@ class Publisher:
         return f"http://{self.domain}/{section}/article-{page_id}.html"
 
     def matches_keyword(self, keyword: str) -> bool:
-        """Literal keyword-list match (the context audit's criterion 1)."""
-        needle = " ".join(keyword.lower().split())
-        return any(needle == candidate.lower() for candidate in self.keywords)
+        """Literal keyword-list match (the context audit's criterion 1).
+
+        Both sides are lower-cased with whitespace runs collapsed.
+        """
+        return (_normalise_keyword(keyword)
+                in map(_normalise_keyword, self.keywords))
+
+
+@lru_cache(maxsize=4096)   # keywords come from a small, fixed vocabulary
+def _normalise_keyword(text: str) -> str:
+    return " ".join(text.lower().split())
 
 
 def domain_of_url(url: str) -> str:

@@ -28,6 +28,12 @@ def make_record(record_id=1, campaign="Research-010", domain="diario1.es",
     return ImpressionRecord(**defaults)
 
 
+#: One valid dumped record, as a dict, for the load tests to vary.
+LINE = dict(record_id=1, campaign_id="c-1", creative_id="cr-1",
+            url="http://a.example/x", user_agent="UA-1", ip="1.2.3.4",
+            timestamp=10.0, exposure_seconds=2.0)
+
+
 class TestImpressionRecord:
     def test_domain_extraction(self):
         assert make_record().domain == "diario1.es"
@@ -135,8 +141,49 @@ class TestPersistence:
     def test_load_rejects_corrupt_lines(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"not": "a record"}\n')
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             ImpressionStore.load_jsonl(path)
+        assert str(caught.value) == (
+            f"{path}:1: bad record: ImpressionRecord.__init__() got an "
+            f"unexpected keyword argument 'not'")
+
+    def test_load_canonicalises_mistyped_values(self):
+        # JSON written by another tool may carry valid values under the
+        # wrong JSON type; the loaded record dumps back canonically.
+        line = json.dumps(dict(
+            LINE, record_id=2.0, timestamp=5, truncated=1,
+            pixels_in_view=0, global_rank=7.0, is_datacenter=1,
+            clicks=True))
+        assert ImpressionStore.loads_jsonl(line).dumps_jsonl() == (
+            '{"campaign_id": "c-1", "clicks": 1, "country": "", '
+            '"creative_id": "cr-1", "dc_stage": "", '
+            '"exposure_seconds": 2.0, "global_rank": 7, "ip": "1.2.3.4", '
+            '"ip_token": "", "is_datacenter": true, "mouse_moves": 0, '
+            '"pixels_in_view": false, "provider": "", "record_id": 2, '
+            '"timestamp": 5.0, "truncated": true, '
+            '"url": "http://a.example/x", "user_agent": "UA-1"}\n')
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"record_id": 1,',
+         "Expecting property name enclosed in double quotes: "
+         "line 1 column 17 (char 16)"),
+        (json.dumps(dict(LINE, bogus=1)),
+         "ImpressionRecord.__init__() got an unexpected keyword argument "
+         "'bogus'"),
+        (json.dumps({k: v for k, v in LINE.items() if k != "url"}),
+         "ImpressionRecord.__init__() missing 1 required positional "
+         "argument: 'url'"),
+        (json.dumps(dict(LINE, record_id=None)),
+         "int() argument must be a string, a bytes-like object or a real "
+         "number, not 'NoneType'"),
+        (json.dumps(dict(LINE, exposure_seconds=-1.0)),
+         "exposure_seconds must be non-negative"),
+    ], ids=["bad-json", "unknown-key", "missing-key", "null-record-id",
+            "negative-exposure"])
+    def test_load_error_text(self, text, message):
+        with pytest.raises(ValueError) as caught:
+            ImpressionStore.loads_jsonl(f"\n{text}\n", source="d.jsonl")
+        assert str(caught.value) == f"d.jsonl:2: bad record: {message}"
 
     def test_load_skips_blank_lines(self, tmp_path):
         store = ImpressionStore()

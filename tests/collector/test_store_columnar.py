@@ -16,6 +16,7 @@ import pytest
 
 from repro.collector.store import (
     ImpressionRecord,
+    ImpressionStore,
     StoreSealedError,
     _ColumnarStore,
     _RowStore,
@@ -166,6 +167,62 @@ class TestSelectValidation:
         store = backend()
         with pytest.raises(ValueError, match="unknown select field"):
             store.select(None, "no_such_column")
+
+
+#: Every field ``select`` accepts: the record fields plus the derived ones.
+RECORD_FIELDS = tuple(ImpressionRecord.__dataclass_fields__)
+SELECT_FIELDS = RECORD_FIELDS + ("domain", "user_key", "identity")
+
+#: The oracle reads derived fields off record views.
+DERIVED = {
+    "domain": lambda record: record.domain,
+    "user_key": lambda record: record.user_key,
+    "identity": lambda record: record.ip_token or record.ip,
+}
+
+
+def oracle_select(store, campaign_id, fields):
+    records = list(store) if campaign_id is None \
+        else store.by_campaign(campaign_id)
+    return [tuple(DERIVED[name](record) if name in DERIVED
+                  else getattr(record, name) for name in fields)
+            for record in records]
+
+
+field_lists = (st.lists(st.sampled_from(SELECT_FIELDS), max_size=8)
+               | st.just(list(SELECT_FIELDS)))
+
+
+class TestSelectOracle:
+    """``select`` against rows read back as record views."""
+
+    @given(populations, field_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_select_matches_record_views(self, population, fields):
+        store = fill(ImpressionStore(), population)
+        for sealed in (False, True):
+            if sealed:
+                store.seal()
+            for campaign_id in [None, *store.campaigns(), "c-unknown"]:
+                assert store.select(campaign_id, *fields) \
+                    == oracle_select(store, campaign_id, fields), \
+                    (sealed, campaign_id)
+
+    @given(populations)
+    @settings(max_examples=20, deadline=None)
+    def test_zero_fields_give_one_empty_tuple_per_row(self, population):
+        store = fill(ImpressionStore(), population)
+        assert store.select(None) == [()] * len(store)
+        for campaign_id in store.campaigns():
+            assert store.select(campaign_id) \
+                == [()] * store.count_for(campaign_id)
+
+    def test_unknown_field_rejected_on_sealed_and_unknown_campaign(self):
+        store = ImpressionStore().seal()
+        for campaign_id in (None, "c-unknown"):
+            with pytest.raises(ValueError,
+                               match="unknown select field 'nope'"):
+                store.select(campaign_id, "record_id", "nope")
 
 
 def make_record(record_id, campaign="c-sports", **overrides):

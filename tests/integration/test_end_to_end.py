@@ -94,11 +94,48 @@ class TestFullAuditArtifact:
 
 class TestDatasetPersistenceRoundtrip:
     def test_dump_load_preserves_audit_results(self, small_result, tmp_path):
-        from repro.collector.store import ImpressionStore
+        # An auditor who reloads the dumped dataset must reach exactly the
+        # in-memory run's audit, tables and figures.
+        from types import SimpleNamespace
 
+        from repro.audit import AuditDataset
+        from repro.audit.export import report_to_csv, report_to_json
+        from repro.collector.store import ImpressionStore
+        from repro.experiments import figures, tables
+
+        dataset = small_result.dataset
         path = tmp_path / "dataset.jsonl"
-        small_result.dataset.store.dump_jsonl(path)
+        dataset.store.dump_jsonl(path)
         loaded = ImpressionStore.load_jsonl(path)
-        assert len(loaded) == len(small_result.dataset.store)
-        assert loaded.distinct_domains() == \
-            small_result.dataset.store.distinct_domains()
+        loaded.seal()
+        replayed = SimpleNamespace(
+            dataset=AuditDataset(
+                store=loaded,
+                campaigns=dict(dataset.campaigns),
+                vendor_reports=dict(dataset.vendor_reports),
+                directory=dataset.directory,
+                lexicon=dataset.lexicon,
+                ranking=dataset.ranking),
+            conversions=list(small_result.conversions))
+        assert len(loaded) == len(dataset.store)
+
+        def rendered(result):
+            report = full_audit(result.dataset)
+            return {
+                "audit": report.render(),
+                "json": report_to_json(report),
+                "csv": report_to_csv(report),
+                "table1": tables.render_table1(result),
+                "table2": tables.render_table2(result),
+                "table3": tables.render_table3(result),
+                "table4": tables.render_table4(result),
+                "funnel": tables.render_conversion_funnel(result),
+                "figure1": figures.figure1(result).render(),
+                "figure2": figures.figure2(result).render(),
+                "figure3": figures.figure3(result).render(),
+            }
+
+        expected = rendered(small_result)
+        actual = rendered(replayed)
+        for name, text in expected.items():
+            assert actual[name] == text, name

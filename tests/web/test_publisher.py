@@ -54,6 +54,15 @@ class TestPublisher:
         assert publisher.matches_keyword("  soccer ")
         assert not publisher.matches_keyword("tennis")
 
+    def test_matches_keyword_normalises_both_sides(self):
+        # Whitespace runs collapse and case folds on the vendor's keyword
+        # list exactly as on the campaign keyword.
+        publisher = make_publisher(keywords=("La  Liga", " primera division"))
+        assert publisher.matches_keyword("la liga")
+        assert publisher.matches_keyword("LA   LIGA ")
+        assert publisher.matches_keyword("primera division")
+        assert not publisher.matches_keyword("laliga")
+
 
 class TestDomainOfUrl:
     def test_extracts_domain_from_url(self):
