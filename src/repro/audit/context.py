@@ -13,6 +13,7 @@ publishers, next to the fraction the vendor claims.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.audit.dataset import AuditDataset
@@ -145,14 +146,14 @@ class ContextAudit:
     def assess(self, campaign_id: str) -> ContextResult:
         """The Table 2 comparison for one campaign."""
         rows = self.dataset.select(campaign_id, "domain")
+        # Impressions per publisher, so each publisher is judged once.
+        impressions = Counter(rows)
         meaningful_impressions = 0
-        meaningful_domains: set[str] = set()
-        observed_domains: set[str] = set()
-        for (domain,) in rows:
-            observed_domains.add(domain)
+        meaningful_publishers = 0
+        for (domain,), count in impressions.items():
             if self.publisher_meaningful(campaign_id, domain):
-                meaningful_impressions += 1
-                meaningful_domains.add(domain)
+                meaningful_impressions += count
+                meaningful_publishers += 1
         report = self.dataset.vendor_reports.get(campaign_id)
         vendor_fraction = report.contextual if report else Fraction2(0, 0)
         if rows:
@@ -163,6 +164,6 @@ class ContextAudit:
             campaign_id=campaign_id,
             audit_fraction=audit_fraction,
             vendor_fraction=vendor_fraction,
-            meaningful_publishers=len(meaningful_domains),
-            observed_publishers=len(observed_domains),
+            meaningful_publishers=meaningful_publishers,
+            observed_publishers=len(impressions),
         )

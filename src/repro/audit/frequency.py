@@ -67,15 +67,19 @@ class FrequencyAudit:
                     current, "user_key", "timestamp"):
                 grouped.setdefault(user_key, []).append(timestamp)
             for user_key, timestamps in grouped.items():
-                timestamps.sort()
-                gaps = [after - before for before, after
-                        in zip(timestamps, timestamps[1:])]
+                # A single impression (most users) has no inter-arrival.
+                median_gap = min_gap = None
+                if len(timestamps) > 1:
+                    timestamps.sort()
+                    gaps = [after - before for before, after
+                            in zip(timestamps, timestamps[1:])]
+                    median_gap, min_gap = median(gaps), min(gaps)
                 points.append(UserFrequency(
                     user_key=user_key,
                     campaign_id=current,
                     impressions=len(timestamps),
-                    median_interarrival_seconds=median(gaps) if gaps else None,
-                    min_interarrival_seconds=min(gaps) if gaps else None,
+                    median_interarrival_seconds=median_gap,
+                    min_interarrival_seconds=min_gap,
                 ))
         return points
 

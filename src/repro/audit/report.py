@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.audit.brand_safety import BrandSafetyAudit, VennCounts
-from repro.audit.context import ContextAudit, ContextResult
+from repro.audit.brand_safety import VennCounts
+from repro.audit.context import ContextResult
 from repro.audit.dataset import AuditDataset
-from repro.audit.fraud import DataCenterStats, FraudAudit
+from repro.audit.fraud import DataCenterStats
 from repro.audit.frequency import FrequencyAudit, FrequencySummary
 from repro.audit.popularity import PopularityAudit, RankDistribution
 from repro.audit.reconcile import Discrepancies, ReconciliationAudit
@@ -94,13 +94,15 @@ class FullAuditReport:
 
 def full_audit(dataset: AuditDataset) -> FullAuditReport:
     """Run every audit axis over *dataset*."""
-    brand_safety = BrandSafetyAudit(dataset)
-    context = ContextAudit(dataset)
+    # The reconciliation's own axis audits serve the report too, so the
+    # context judgements it caches are made once per pass.
+    reconciliation = ReconciliationAudit(dataset)
+    brand_safety = reconciliation.brand_safety
+    context = reconciliation.context
+    fraud = reconciliation.fraud
     popularity = PopularityAudit(dataset)
     viewability = ViewabilityAudit(dataset)
-    fraud = FraudAudit(dataset)
     frequency = FrequencyAudit(dataset)
-    reconciliation = ReconciliationAudit(dataset)
     campaign_reports = []
     for campaign_id in dataset.campaign_ids:
         campaign_reports.append(CampaignAuditReport(

@@ -30,8 +30,11 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import asdict, dataclass, replace
+from itertools import product
+from math import isfinite
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -109,7 +112,8 @@ class ImpressionRecord:
         # (which stores doubles/ints/bytes) serialises byte-identically
         # to one held as a row.  Only a value of another type is
         # converted: on its own type the conversion is the identity.  A
-        # null non-nullable field still reaches (and fails) conversion.
+        # null numeric field still reaches (and fails) conversion; the
+        # value checks the direct load path shares follow.
         setattr_ = object.__setattr__
         if type(self.record_id) is not int:
             setattr_(self, "record_id", int(self.record_id))
@@ -131,18 +135,7 @@ class ImpressionRecord:
             setattr_(self, "global_rank", int(rank))
         if is_dc is not None and type(is_dc) is not bool:
             setattr_(self, "is_datacenter", bool(is_dc))
-        if self.record_id < 1:
-            raise ValueError("record_id must be positive")
-        if not self.campaign_id:
-            raise ValueError("campaign_id must be non-empty")
-        if not self.url:
-            raise ValueError("url must be non-empty")
-        if not self.ip and not self.ip_token:
-            raise ValueError("record needs a raw IP or an anonymised token")
-        if self.exposure_seconds < 0:
-            raise ValueError("exposure_seconds must be non-negative")
-        if self.mouse_moves < 0 or self.clicks < 0:
-            raise ValueError("interaction counts must be non-negative")
+        _check_record(vars(self))
 
     @property
     def domain(self) -> str:
@@ -164,14 +157,63 @@ class ImpressionRecord:
         return self.exposure_seconds >= 1.0
 
 
+#: Field name -> dataclass field; each ``.type`` is the annotation text,
+#: since this module postpones annotation evaluation.
+_FIELD_SPECS = ImpressionRecord.__dataclass_fields__
+_RECORD_FIELDS = frozenset(_FIELD_SPECS)
+#: The record's string fields, which hold text and nothing else.
+_TEXT_FIELDS = tuple(name for name, field in _FIELD_SPECS.items()
+                     if field.type == "str")
+
+
+def _check_record(fields: Mapping) -> None:
+    """Raise ``ValueError`` unless *fields* make a valid record.
+
+    The one value check behind both ways a record enters a store: the
+    :class:`ImpressionRecord` constructor (after canonicalising types)
+    and the direct JSONL load path.  The finite and string checks come
+    last, so a record that an earlier check rejects keeps its message.
+    """
+    if fields["record_id"] < 1:
+        raise ValueError("record_id must be positive")
+    if not fields["campaign_id"]:
+        raise ValueError("campaign_id must be non-empty")
+    if not fields["url"]:
+        raise ValueError("url must be non-empty")
+    if not fields["ip"] and not fields["ip_token"]:
+        raise ValueError("record needs a raw IP or an anonymised token")
+    exposure = fields["exposure_seconds"]
+    if exposure < 0:
+        raise ValueError("exposure_seconds must be non-negative")
+    if fields["mouse_moves"] < 0 or fields["clicks"] < 0:
+        raise ValueError("interaction counts must be non-negative")
+    if not isfinite(fields["timestamp"]):
+        raise ValueError("timestamp must be finite")
+    if not isfinite(exposure):
+        raise ValueError("exposure_seconds must be finite")
+    for name in _TEXT_FIELDS:
+        if not isinstance(fields[name], str):
+            raise ValueError(f"{name} must be a string")
+
+
+#: The record fields' values of a decoded line, in field order.
+_record_values = itemgetter(*_FIELD_SPECS)
+
+#: Every field-order tuple of value types a canonical dump line can
+#: hold: each field's declared type, or ``None`` where it is optional.
+_CANONICAL_TYPES = frozenset(product(*(
+    {"int": (int,), "float": (float,), "bool": (bool,), "str": (str,),
+     "Optional[int]": (int, type(None)),
+     "Optional[bool]": (bool, type(None))}[field.type]
+    for field in _FIELD_SPECS.values())))
+
+
 #: Derived logical fields ``select()`` accepts besides the record fields.
 _ROW_GETTERS: dict[str, Callable[[ImpressionRecord], object]] = {
     "domain": lambda record: record.domain,
     "user_key": lambda record: record.user_key,
     "identity": lambda record: record.ip_token or record.ip,
 }
-
-_RECORD_FIELDS = frozenset(ImpressionRecord.__dataclass_fields__)
 
 
 def _row_getter(name: str) -> Callable[[ImpressionRecord], object]:
@@ -239,30 +281,36 @@ class _ColumnData:
     def _tri(value: Optional[bool]) -> int:
         return _TRI_NONE if value is None else int(value)
 
-    def append_record(self, record: ImpressionRecord,
-                      record_id: Optional[int] = None) -> None:
+    def append_record(self, record: ImpressionRecord) -> None:
+        self.append_fields(vars(record))
+
+    def append_fields(self, fields: Mapping) -> None:
+        """Append one row from a valid record's field mapping of canonical
+        types: ``vars(record)``, or a canonical decoded dump line."""
         intern = self.intern
-        url = record.url
-        self.ids.append(record.record_id if record_id is None else record_id)
-        self.timestamp.append(record.timestamp)
-        self.exposure.append(record.exposure_seconds)
-        self.mouse_moves.append(record.mouse_moves)
-        self.clicks.append(record.clicks)
-        self.truncated.append(int(record.truncated))
-        self.pixels.append(self._tri(record.pixels_in_view))
-        self.campaign.append(intern(record.campaign_id))
-        self.creative.append(intern(record.creative_id))
+        tri = self._tri
+        url = fields["url"]
+        rank = fields["global_rank"]
+        self.ids.append(fields["record_id"])
+        self.timestamp.append(fields["timestamp"])
+        self.exposure.append(fields["exposure_seconds"])
+        self.mouse_moves.append(fields["mouse_moves"])
+        self.clicks.append(fields["clicks"])
+        self.truncated.append(fields["truncated"])
+        self.pixels.append(tri(fields["pixels_in_view"]))
+        self.campaign.append(intern(fields["campaign_id"]))
+        self.creative.append(intern(fields["creative_id"]))
         self.url.append(intern(url))
         self.domain.append(intern(domain_of_url(url)))
-        self.ua.append(intern(record.user_agent))
-        self.ip.append(intern(record.ip))
-        self.ip_token.append(intern(record.ip_token))
-        self.provider.append(intern(record.provider))
-        self.country.append(intern(record.country))
-        self.dc_stage.append(intern(record.dc_stage))
-        self.rank_present.append(0 if record.global_rank is None else 1)
-        self.rank.append(record.global_rank or 0)
-        self.is_dc.append(self._tri(record.is_datacenter))
+        self.ua.append(intern(fields["user_agent"]))
+        self.ip.append(intern(fields["ip"]))
+        self.ip_token.append(intern(fields["ip_token"]))
+        self.provider.append(intern(fields["provider"]))
+        self.country.append(intern(fields["country"]))
+        self.dc_stage.append(intern(fields["dc_stage"]))
+        self.rank_present.append(0 if rank is None else 1)
+        self.rank.append(rank or 0)
+        self.is_dc.append(tri(fields["is_datacenter"]))
 
     def write_record(self, row: int, record: ImpressionRecord) -> None:
         self.ids[row] = record.record_id
@@ -288,29 +336,10 @@ class _ColumnData:
 
     def record(self, row: int,
                record_id: Optional[int] = None) -> ImpressionRecord:
-        strings = self.strings
-        pixels = self.pixels[row]
-        is_dc = self.is_dc[row]
-        return ImpressionRecord(
-            record_id=self.ids[row] if record_id is None else record_id,
-            campaign_id=strings[self.campaign[row]],
-            creative_id=strings[self.creative[row]],
-            url=strings[self.url[row]],
-            user_agent=strings[self.ua[row]],
-            ip=strings[self.ip[row]],
-            timestamp=self.timestamp[row],
-            exposure_seconds=self.exposure[row],
-            mouse_moves=self.mouse_moves[row],
-            clicks=self.clicks[row],
-            truncated=bool(self.truncated[row]),
-            pixels_in_view=None if pixels == _TRI_NONE else bool(pixels),
-            ip_token=strings[self.ip_token[row]],
-            provider=strings[self.provider[row]],
-            country=strings[self.country[row]],
-            global_rank=self.rank[row] if self.rank_present[row] else None,
-            is_datacenter=None if is_dc == _TRI_NONE else bool(is_dc),
-            dc_stage=strings[self.dc_stage[row]],
-        )
+        fields = self.row_dict(row)
+        if record_id is not None:
+            fields["record_id"] = record_id
+        return ImpressionRecord(**fields)
 
     def row_dict(self, row: int) -> dict:
         """The record as the plain dict ``asdict`` would produce."""
@@ -417,6 +446,35 @@ class _ColumnData:
         self.rank.extend(rank)
         self.is_dc.extend(is_dc)
         return count
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str) -> object:
+    """Decode one stripped JSONL line; a line ``raw_decode`` cannot decode
+    whole goes to ``json.loads`` for the standard error text."""
+    try:
+        data, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    if end != len(line):
+        data = json.loads(line)
+    return data
+
+
+def _is_canonical(data: object) -> bool:
+    """A decoded line holding exactly the record fields, each of the JSON
+    type a dump writes for it — a row the columns take as it is."""
+    if type(data) is not dict or len(data) != len(_RECORD_FIELDS):
+        return False
+    try:
+        values = _record_values(data)
+    except KeyError:        # as many keys, but not the record's
+        return False
+    # Sized through a list: a resized ``tuple(map(...))`` per line would
+    # pile up in CPython's tuple free list and outlive the load.
+    return tuple([*map(type, values)]) in _CANONICAL_TYPES
 
 
 def _validated_payload(payload: tuple) -> tuple:
@@ -680,25 +738,34 @@ class ImpressionStore:
             if not line:
                 continue
             try:
-                data = json.loads(line)
-                record = ImpressionRecord(**data)
+                record_id, row = self._loaded_row(_decode_line(line))
             except (json.JSONDecodeError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"{source}:{line_number}: bad record: {exc}") from exc
-            if record.record_id == last_id:
+            if record_id == last_id:
                 raise ValueError(
                     f"{source}:{line_number}: duplicate record id "
-                    f"{record.record_id}")
-            if record.record_id < last_id:
+                    f"{record_id}")
+            if record_id < last_id:
                 raise ValueError(
                     f"{source}:{line_number}: record ids must be strictly "
-                    f"increasing ({record.record_id} after {last_id})")
-            self._append(record)
-            last_id = record.record_id
+                    f"increasing ({record_id} after {last_id})")
+            self._append_loaded(row)
+            last_id = record_id
             added += 1
         self._next_id = last_id + 1
         if added:
             self._appends.inc(added)
+
+    def _loaded_row(self, data: object) -> tuple[int, object]:
+        """One decoded dump line, validated: its record id and the row
+        :meth:`_append_loaded` takes.  Here that row is the record the
+        constructor builds, which canonicalises or rejects the line."""
+        record = ImpressionRecord(**data)
+        return record.record_id, record
+
+    def _append_loaded(self, row: object) -> None:
+        self._append(row)
 
     @classmethod
     def loads_jsonl(cls, text: str,
@@ -834,7 +901,7 @@ class _RowStore(ImpressionStore):
     # -- persistence ------------------------------------------------------ #
 
     def _iter_jsonl_lines(self) -> Iterator[str]:
-        return (json.dumps(asdict(record), sort_keys=True)
+        return (json.dumps(asdict(record), sort_keys=True, allow_nan=False)
                 for record in self._records)
 
 
@@ -870,6 +937,19 @@ class _ColumnarStore(ImpressionStore):
 
     def _write_row(self, index: int, record: ImpressionRecord) -> None:
         self._data.write_record(index, record)
+
+    def _loaded_row(self, data: object) -> tuple[int, object]:
+        # A canonical line (every line a dump writes) is checked and kept
+        # as the field mapping the columns append from; any other line
+        # takes the constructor path, as on the reference backing.
+        if _is_canonical(data):
+            _check_record(data)
+        else:
+            data = vars(ImpressionRecord(**data))
+        return data["record_id"], data
+
+    def _append_loaded(self, row: object) -> None:
+        self._data.append_fields(row)
 
     # -- raw-column transfer ------------------------------------------- #
 
@@ -1038,5 +1118,5 @@ class _ColumnarStore(ImpressionStore):
 
     def _iter_jsonl_lines(self) -> Iterator[str]:
         row_dict = self._data.row_dict
-        return (json.dumps(row_dict(row), sort_keys=True)
+        return (json.dumps(row_dict(row), sort_keys=True, allow_nan=False)
                 for row in range(len(self._data)))

@@ -65,7 +65,6 @@ from repro.obs.metrics import (
     WALL,
     MetricsRegistry,
     MetricsSnapshot,
-    merge_snapshots,
 )
 from repro.obs.timing import wall_timer
 from repro.obs.trace import FlightRecorder, TraceRecord, Tracer

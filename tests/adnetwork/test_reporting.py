@@ -1,7 +1,5 @@
 """Tests for repro.adnetwork.reporting — the vendor report under audit."""
 
-import random
-
 import pytest
 
 from repro.adnetwork.matching import MatchDecision, MatchReason

@@ -101,3 +101,16 @@ class TestAssess:
     def test_vendor_gap_positive_for_football(self, dataset):
         result = ContextAudit(dataset).assess("Football-010")
         assert result.vendor_fraction.pct > result.audit_fraction.pct
+
+    def test_asks_about_each_publisher_once(self, dataset, monkeypatch):
+        audit = ContextAudit(dataset)
+        asked = []
+        judge = audit.publisher_meaningful
+        monkeypatch.setattr(
+            audit, "publisher_meaningful",
+            lambda campaign_id, domain: asked.append(domain)
+            or judge(campaign_id, domain))
+        result = audit.assess("Football-010")
+        # 6 impressions on 3 publishers: one question per publisher.
+        assert sorted(asked) == sorted(set(asked))
+        assert len(asked) == result.observed_publishers == 3

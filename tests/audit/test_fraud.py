@@ -45,7 +45,6 @@ class TestFraudAudit:
             record_id=1, campaign_id="Football-010",
             creative_id="c", url="http://x.es/a", user_agent="UA",
             ip="2.0.0.1", timestamp=0.0, exposure_seconds=1.0))
-        from dataclasses import replace
         broken = replace_dataset(dataset, store)
         with pytest.raises(ValueError):
             FraudAudit(broken).assess("Football-010")

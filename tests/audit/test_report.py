@@ -1,5 +1,6 @@
 """Tests for repro.audit.report — the full-audit entry point."""
 
+from repro.audit.context import ContextAudit
 from repro.audit.report import full_audit
 
 
@@ -33,3 +34,19 @@ class TestFullAudit:
     def test_render_contains_campaign_rows(self, dataset):
         text = full_audit(dataset).render()
         assert text.count("Football-010") >= 4
+
+    def test_judges_each_campaign_publisher_once(self, dataset,
+                                                 monkeypatch):
+        # The report and its reconciliation share one context audit, so
+        # each (campaign, publisher) judgement is made once per pass.
+        judged = []
+        judge = ContextAudit._judge
+
+        def counting_judge(audit, campaign_id, domain):
+            judged.append((campaign_id, domain))
+            return judge(audit, campaign_id, domain)
+
+        monkeypatch.setattr(ContextAudit, "_judge", counting_judge)
+        full_audit(dataset)
+        assert judged
+        assert len(judged) == len(set(judged))

@@ -1,6 +1,7 @@
 """Tests for repro.collector.store — the impression database."""
 
 import json
+from array import array
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.collector.store import (
     ImpressionRecord,
     ImpressionStore,
     StoreSealedError,
+    _ColumnarStore,
 )
 
 
@@ -58,6 +60,12 @@ class TestImpressionRecord:
         {"exposure_seconds": -1.0},
         {"mouse_moves": -1},
         {"ip": ""},                       # no ip and no token
+        {"campaign_id": 7},
+        {"user_agent": None},
+        {"ip_token": 3},
+        {"country": None},
+        {"timestamp": float("nan")},
+        {"exposure_seconds": float("inf")},
     ])
     def test_validation(self, overrides):
         with pytest.raises(ValueError):
@@ -178,12 +186,38 @@ class TestPersistence:
          "number, not 'NoneType'"),
         (json.dumps(dict(LINE, exposure_seconds=-1.0)),
          "exposure_seconds must be non-negative"),
+        (json.dumps(dict(LINE, url=5)), "url must be a string"),
+        (json.dumps(dict(LINE, user_agent=None)),
+         "user_agent must be a string"),
+        (json.dumps(dict(LINE, timestamp=float("nan"))),
+         "timestamp must be finite"),
+        (json.dumps(dict(LINE, exposure_seconds=float("inf"))),
+         "exposure_seconds must be finite"),
+        (json.dumps(dict(LINE, exposure_seconds=float("-inf"))),
+         "exposure_seconds must be non-negative"),
+        ('{"record_id": 1} {}', "Extra data: line 1 column 18 (char 17)"),
+        ("\ufeff{}", "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+         "line 1 column 1 (char 0)"),
     ], ids=["bad-json", "unknown-key", "missing-key", "null-record-id",
-            "negative-exposure"])
+            "negative-exposure", "url-not-string", "null-user-agent",
+            "nan-timestamp", "infinite-exposure", "minus-infinite-exposure",
+            "extra-data", "byte-order-mark"])
     def test_load_error_text(self, text, message):
         with pytest.raises(ValueError) as caught:
             ImpressionStore.loads_jsonl(f"\n{text}\n", source="d.jsonl")
         assert str(caught.value) == f"d.jsonl:2: bad record: {message}"
+
+    def test_dump_writes_strict_json(self):
+        # A non-finite value can only reach the columns through a raw
+        # column payload; the dump refuses to write it as a bare token.
+        store = _ColumnarStore()
+        store.insert(make_record(record_id=1))
+        payload = list(store.export_columns())
+        payload[4] = array("d", [float("nan")])      # the timestamps
+        poisoned = _ColumnarStore()
+        poisoned.absorb_columns(tuple(payload))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            poisoned.dumps_jsonl()
 
     def test_load_skips_blank_lines(self, tmp_path):
         store = ImpressionStore()

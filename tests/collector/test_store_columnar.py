@@ -9,6 +9,8 @@ and raw records, empty stores) plus directed tests for the new mutation
 paths (``enrich_at``, ``absorb_columns``) and their sealed-store guards.
 """
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,7 +148,6 @@ class TestBackendEquivalence:
     @given(populations)
     @settings(max_examples=30, deadline=None)
     def test_jsonl_round_trip_with_gapped_ids(self, population):
-        import json
 
         for backend in BACKENDS:
             store = fill(backend(), population)
@@ -370,3 +371,124 @@ class TestEmptyStore:
         other = backend()
         assert other.absorb_columns(store.export_columns()) == 0
         assert other._appends.value == 0
+
+
+#: Canonical dump lines (every value of its dumped JSON type) for the
+#: load-path oracle to perturb: one raw record, one enriched.
+CANONICAL_LINES = (
+    dict(record_id=3, campaign_id="c-1", creative_id="cr-1",
+         url="http://a.example/x", user_agent="UA-1", ip="1.2.3.4",
+         timestamp=10.5, exposure_seconds=2.0, mouse_moves=1, clicks=0,
+         truncated=False, pixels_in_view=None, ip_token="", provider="",
+         country="", global_rank=None, is_datacenter=None, dc_stage=""),
+    dict(record_id=1, campaign_id="c-2", creative_id="cr-2",
+         url="https://b.example/y/z", user_agent="UA-2", ip="",
+         timestamp=1_000.0, exposure_seconds=0.0, mouse_moves=0, clicks=2,
+         truncated=True, pixels_in_view=True, ip_token="tok-aaaa",
+         provider="Hosting Co", country="DE", global_rank=500,
+         is_datacenter=False, dc_stage="maxmind"),
+)
+
+#: Values of every JSON type a perturbed field may take, including the
+#: non-finite floats the standard decoder accepts and negative numbers.
+PERTURBED_VALUES = (
+    0, 1, 7, -1, 0.0, 2.5, -2.5, True, False, "", "x", "http://c.example/",
+    None, float("nan"), float("inf"), float("-inf"),
+)
+perturbed_values = st.sampled_from(PERTURBED_VALUES)
+perturbations = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(RECORD_FIELDS),
+              perturbed_values),
+    st.tuples(st.just("drop"), st.sampled_from(RECORD_FIELDS), st.none()),
+    st.tuples(st.just("add"), st.sampled_from(["domain", "extra"]),
+              perturbed_values),
+)
+
+
+def perturbed_line(base, edits):
+    values = dict(base)
+    for action, name, value in edits:
+        if action == "drop":
+            values.pop(name, None)
+        else:
+            values[name] = value
+    return json.dumps(values)
+
+
+def outcome(build):
+    """What *build* returns, or the type and text of what it raised."""
+    try:
+        return build()
+    except Exception as exc:  # noqa: BLE001 - the oracle compares any failure
+        return type(exc).__name__, str(exc)
+
+
+def constructor_load(backend, line):
+    """The oracle: the record constructor fed the decoded line, the
+    record inserted into a fresh store, the store dumped."""
+    try:
+        record = ImpressionRecord(**json.loads(line))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"<string>:1: bad record: {exc}") from exc
+    store = backend()
+    store._next_id = record.record_id
+    store.insert(record)
+    return store.dumps_jsonl()
+
+
+class TestLoadPathOracle:
+    """``loads_jsonl`` against the record constructor, line by line."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(base=st.sampled_from(CANONICAL_LINES),
+           edits=st.lists(perturbations, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_load_matches_constructor(self, backend, base, edits):
+        line = perturbed_line(base, edits)
+        assert outcome(lambda: backend.loads_jsonl(line).dumps_jsonl()) \
+            == outcome(lambda: constructor_load(backend, line)), line
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_single_value_swap_matches_constructor(self, backend):
+        for base in CANONICAL_LINES:
+            for name in RECORD_FIELDS:
+                for value in PERTURBED_VALUES:
+                    line = perturbed_line(base, [("set", name, value)])
+                    assert outcome(
+                        lambda: backend.loads_jsonl(line).dumps_jsonl()) \
+                        == outcome(lambda: constructor_load(backend, line)), \
+                        line
+
+    def test_canonical_bases_take_the_direct_path(self, monkeypatch):
+        # The perturbations start from lines the columns take as they are.
+        built = counting_record_builds(monkeypatch)
+        for base in CANONICAL_LINES:
+            line = json.dumps(base, sort_keys=True)
+            assert _ColumnarStore.loads_jsonl(line).dumps_jsonl() \
+                == line + "\n"
+        assert built == []
+
+
+def counting_record_builds(monkeypatch):
+    """The ids of every ``ImpressionRecord`` built from now on."""
+    built = []
+    post_init = ImpressionRecord.__post_init__
+
+    def counting_post_init(record):
+        built.append(record.record_id)
+        post_init(record)
+
+    monkeypatch.setattr(ImpressionRecord, "__post_init__", counting_post_init)
+    return built
+
+
+def test_dump_loads_without_building_records(small_result, monkeypatch):
+    # Every line a dump writes takes the direct path into the columns;
+    # a change to the dump's value types would quietly send each line
+    # back through the record constructor.
+    text = small_result.dataset.store.dumps_jsonl()
+    built = counting_record_builds(monkeypatch)
+    loaded = _ColumnarStore.loads_jsonl(text)
+    assert built == []
+    assert len(loaded) > 0
+    assert loaded.dumps_jsonl() == text

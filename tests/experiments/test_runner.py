@@ -4,8 +4,6 @@ One small experiment run is shared by the whole module (and by the
 tables/figures tests via the session fixture in tests/experiments/conftest).
 """
 
-import pytest
-
 from repro.adnetwork.reporting import ANONYMOUS_PLACEMENT
 
 

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.geo.providers import ProviderRegistry
 from repro.web.bots import Bot, BotConfig, BotFleet
 
 

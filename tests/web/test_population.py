@@ -1,6 +1,5 @@
 """Tests for repro.web.population — the publisher universe."""
 
-import math
 import random
 
 import pytest
