@@ -13,7 +13,6 @@ Examples::
     python -m repro --trace-json trace.json # open in Perfetto
     python -m repro --faults flaky --coverage-json coverage.json
     python -m repro explain 17              # one impression's receipt
-    python -m repro bench --scale tiny      # performance harness
     python -m repro --events-jsonl events.jsonl --progress
     python -m repro report --out report.md  # markdown run report
 """
@@ -241,159 +240,6 @@ def run_explain(argv: list[str]) -> int:
     return 0
 
 
-def build_bench_parser() -> argparse.ArgumentParser:
-    from repro.experiments.bench import SCALE_PRESETS
-
-    presets = ", ".join(sorted(SCALE_PRESETS))
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench",
-        description="Benchmark the experiment pipeline (serial, parallel, "
-                    "and reference-baseline runs plus the masking "
-                    "microbenchmark) and write a schema-validated "
-                    "BENCH.json.")
-    parser.add_argument("--scale", default="small",
-                        help=f"world scale: a float or a preset ({presets}); "
-                             f"default small")
-    parser.add_argument("--seed", type=int, default=2016,
-                        help="master seed (default 2016)")
-    parser.add_argument("--jobs", default="2",
-                        help="worker counts for the parallel runs: one "
-                             "integer or a comma-separated sweep such as "
-                             "1,2,4 (default 2); each value above 1 gets "
-                             "its own parallel probe and a sweep entry")
-    parser.add_argument("--out", metavar="PATH", default="BENCH.json",
-                        help="output document path (default BENCH.json)")
-    parser.add_argument("--skip-baseline", action="store_true",
-                        help="skip the reference-hot-path baseline run "
-                             "(faster; omits the speedup comparison)")
-    parser.add_argument("--in-process", action="store_true",
-                        help="run probes in this process instead of "
-                             "subprocesses (faster, less isolated RSS/wall "
-                             "numbers)")
-    parser.add_argument("--faults", metavar="SPEC", default="none",
-                        help="fault plan preset to benchmark under "
-                             "(default none; e.g. flaky to measure the "
-                             "retry/recovery overhead)")
-    parser.add_argument("--tracemalloc", action="store_true",
-                        help="also sample Python-allocation peaks per "
-                             "stage (slower; recorded in the per-run "
-                             "memory watermarks)")
-    parser.add_argument("--profile", type=int, nargs="?", const=25,
-                        default=None, metavar="N",
-                        help="also cProfile the serial scenario and print "
-                             "the top N functions by cumulative time "
-                             "(default N=25)")
-    parser.add_argument("--store-memory", action="store_true",
-                        help="only measure the impression store's memory "
-                             "(columnar vs reference bytes/impression at "
-                             "--scale) and print the JSON result; used by "
-                             "the CI memory-smoke job")
-    parser.add_argument("--probe", action="store_true",
-                        help=argparse.SUPPRESS)  # internal subprocess mode
-    parser.add_argument("--reference", action="store_true",
-                        help=argparse.SUPPRESS)  # internal: baseline probe
-    return parser
-
-
-def run_bench(argv: list[str]) -> int:
-    """The ``bench`` subcommand: the repo's performance harness."""
-    import json
-
-    from repro.experiments import bench
-
-    args = build_bench_parser().parse_args(argv)
-    try:
-        raw_jobs = [int(part) for part in str(args.jobs).split(",")
-                    if part.strip()]
-        jobs_values = list(bench.normalize_jobs(raw_jobs))
-    except ValueError as error:
-        print(f"--jobs: {error}", file=sys.stderr)
-        return 2
-    try:
-        scale = bench.resolve_scale(args.scale)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-
-    if args.store_memory:
-        # Measurement-only mode: run the scenario once, then weigh its
-        # impression store under both backends (no timing probes).
-        from repro.experiments.config import paper_experiment
-        from repro.experiments.parallel import ParallelExperimentRunner
-
-        config = paper_experiment(seed=args.seed, scale=scale)
-        result = ParallelExperimentRunner(config, jobs=1).run()
-        memory = bench.measure_store_memory(result.dataset.store)
-        print(json.dumps(memory, sort_keys=True, allow_nan=False))
-        return 0
-
-    if args.probe:
-        # Internal mode: one measurement in this (fresh) interpreter,
-        # reported as a single JSON object on stdout.  The raw value is
-        # the probe's worker count — normalize_jobs would fold in the
-        # serial anchor, which only makes sense for sweep documents.
-        if len(raw_jobs) != 1:
-            print("--probe measures a single jobs value", file=sys.stderr)
-            return 2
-        row = bench.run_probe(args.seed, scale, jobs=raw_jobs[0],
-                              reference=args.reference,
-                              faults=args.faults)
-        print(json.dumps(row, sort_keys=True, allow_nan=False))
-        return 0
-
-    document = bench.run_bench(
-        seed=args.seed, scale=scale, jobs=jobs_values,
-        include_baseline=not args.skip_baseline,
-        subprocess_probes=not args.in_process,
-        faults=args.faults,
-        tracemalloc=args.tracemalloc,
-        progress=lambda message: print(message, file=sys.stderr))
-    path = bench.write_bench(document, args.out)
-
-    serial = next(run for run in document["runs"]
-                  if run["mode"] == "serial")
-    lines = [
-        f"serial:   {serial['wall_seconds']:.2f}s wall "
-        f"({serial['warm_wall_seconds']:.2f}s warm), "
-        f"{serial['impressions_per_second']:.0f} impressions/s, "
-        f"peak RSS {serial['peak_rss_bytes'] / (1 << 20):.0f} MiB",
-    ]
-    sweep_by_jobs = {entry["jobs"]: entry
-                     for entry in document.get("sweep", ())}
-    for parallel in (run for run in document["runs"]
-                     if run["mode"] == "parallel"):
-        entry = sweep_by_jobs.get(parallel["jobs"])
-        speedups = "" if entry is None else (
-            f", {entry['end_to_end_speedup']:.2f}x end-to-end / "
-            f"{entry['warm_speedup']:.2f}x warm vs serial")
-        lines.append(
-            f"parallel: {parallel['wall_seconds']:.2f}s wall "
-            f"({parallel['warm_wall_seconds']:.2f}s warm, "
-            f"--jobs {parallel['jobs']}), "
-            f"{parallel['impressions_per_second']:.0f} impressions/s, "
-            f"peak RSS {parallel['peak_rss_bytes'] / (1 << 20):.0f} MiB"
-            f"{speedups}")
-    comparison = document.get("comparison")
-    if comparison is not None:
-        lines.append(
-            f"vs reference hot paths: "
-            f"{comparison['end_to_end_speedup']:.2f}x end-to-end, "
-            f"{comparison['impressions_per_second_gain']:.2f}x "
-            f"impressions/s")
-    mask = document["micro"]["mask_xor_64kib"]
-    lines.append(f"mask microbench (64 KiB): {mask['speedup']:.1f}x "
-                 f"({mask['optimized_mib_per_second']:.0f} vs "
-                 f"{mask['reference_mib_per_second']:.0f} MiB/s)")
-    print("\n".join(lines))
-    print(f"wrote {path}", file=sys.stderr)
-
-    if args.profile is not None:
-        print(f"profiling serial scenario (top {args.profile} by "
-              f"cumulative time) ...", file=sys.stderr)
-        print(bench.profile_scenario(args.seed, scale, top=args.profile))
-    return 0
-
-
 def build_report_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro report",
@@ -469,8 +315,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "explain":
         return run_explain(argv[1:])
-    if argv and argv[0] == "bench":
-        return run_bench(argv[1:])
     if argv and argv[0] == "report":
         return run_report(argv[1:])
     args = build_parser().parse_args(argv)

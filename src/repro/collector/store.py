@@ -14,7 +14,7 @@ Two interchangeable backings implement the store:
   nullable enrichment fields.  ``ImpressionRecord`` becomes a lightweight
   view materialised on demand, and ``seal()`` builds per-column indexes
   so the audit queries stop rescanning the whole table.
-* :class:`_RowStore` (under ``REPRO_REFERENCE_HOTPATH``) retains the
+* :class:`_RowStore` (in reference mode) retains the
   original list-of-frozen-dataclasses layout and full-scan queries — the
   reference implementation the equivalence tests pin the columnar
   backend against, byte for byte.
@@ -115,26 +115,31 @@ class ImpressionRecord:
         # null numeric field still reaches (and fails) conversion; the
         # value checks the direct load path shares follow.
         setattr_ = object.__setattr__
-        if type(self.record_id) is not int:
-            setattr_(self, "record_id", int(self.record_id))
-        if type(self.timestamp) is not float:
-            setattr_(self, "timestamp", float(self.timestamp))
-        if type(self.exposure_seconds) is not float:
-            setattr_(self, "exposure_seconds", float(self.exposure_seconds))
-        if type(self.mouse_moves) is not int:
-            setattr_(self, "mouse_moves", int(self.mouse_moves))
-        if type(self.clicks) is not int:
-            setattr_(self, "clicks", int(self.clicks))
-        if type(self.truncated) is not bool:
-            setattr_(self, "truncated", bool(self.truncated))
-        pixels, rank, is_dc = (self.pixels_in_view, self.global_rank,
-                               self.is_datacenter)
-        if pixels is not None and type(pixels) is not bool:
-            setattr_(self, "pixels_in_view", bool(pixels))
-        if rank is not None and type(rank) is not int:
-            setattr_(self, "global_rank", int(rank))
-        if is_dc is not None and type(is_dc) is not bool:
-            setattr_(self, "is_datacenter", bool(is_dc))
+        try:
+            if type(self.record_id) is not int:
+                setattr_(self, "record_id", int(self.record_id))
+            if type(self.timestamp) is not float:
+                setattr_(self, "timestamp", float(self.timestamp))
+            if type(self.exposure_seconds) is not float:
+                setattr_(self, "exposure_seconds", float(self.exposure_seconds))
+            if type(self.mouse_moves) is not int:
+                setattr_(self, "mouse_moves", int(self.mouse_moves))
+            if type(self.clicks) is not int:
+                setattr_(self, "clicks", int(self.clicks))
+            if type(self.truncated) is not bool:
+                setattr_(self, "truncated", bool(self.truncated))
+            pixels, rank, is_dc = (self.pixels_in_view, self.global_rank,
+                                   self.is_datacenter)
+            if pixels is not None and type(pixels) is not bool:
+                setattr_(self, "pixels_in_view", bool(pixels))
+            if rank is not None and type(rank) is not int:
+                setattr_(self, "global_rank", int(rank))
+            if is_dc is not None and type(is_dc) is not bool:
+                setattr_(self, "is_datacenter", bool(is_dc))
+        except OverflowError as exc:
+            # An infinite float in an int field, or an int too large for
+            # a float field: a bad value, refused like any other.
+            raise ValueError(str(exc)) from exc
         _check_record(vars(self))
 
     @property
@@ -164,18 +169,28 @@ _RECORD_FIELDS = frozenset(_FIELD_SPECS)
 #: The record's string fields, which hold text and nothing else.
 _TEXT_FIELDS = tuple(name for name, field in _FIELD_SPECS.items()
                      if field.type == "str")
+#: Exclusive bounds of the unsigned 32-bit count columns and the signed
+#: 64-bit id and rank columns: a value past them cannot be stored.
+_COUNT_LIMIT = 1 << 32
+_INT64_LIMIT = 1 << 63
 
 
-def _check_record(fields: Mapping) -> None:
-    """Raise ``ValueError`` unless *fields* make a valid record.
+def _check_record(fields: Mapping) -> str:
+    """Raise ``ValueError`` unless *fields* make a valid record; return
+    the record's publisher domain.
 
     The one value check behind both ways a record enters a store: the
     :class:`ImpressionRecord` constructor (after canonicalising types)
-    and the direct JSONL load path.  The finite and string checks come
-    last, so a record that an earlier check rejects keeps its message.
+    and the direct JSONL load path.  It admits only values every column
+    can hold, so no backing appends part of a row and then fails.  The
+    finite, string and URL-host checks come last, so a record that an
+    earlier check rejects keeps its message.
     """
-    if fields["record_id"] < 1:
+    record_id = fields["record_id"]
+    if record_id < 1:
         raise ValueError("record_id must be positive")
+    if record_id >= _INT64_LIMIT:
+        raise ValueError("record_id must be below 2**63")
     if not fields["campaign_id"]:
         raise ValueError("campaign_id must be non-empty")
     if not fields["url"]:
@@ -185,8 +200,14 @@ def _check_record(fields: Mapping) -> None:
     exposure = fields["exposure_seconds"]
     if exposure < 0:
         raise ValueError("exposure_seconds must be non-negative")
-    if fields["mouse_moves"] < 0 or fields["clicks"] < 0:
+    mouse_moves, clicks = fields["mouse_moves"], fields["clicks"]
+    if mouse_moves < 0 or clicks < 0:
         raise ValueError("interaction counts must be non-negative")
+    if mouse_moves >= _COUNT_LIMIT or clicks >= _COUNT_LIMIT:
+        raise ValueError("interaction counts must be below 2**32")
+    rank = fields["global_rank"]
+    if rank is not None and not -_INT64_LIMIT <= rank < _INT64_LIMIT:
+        raise ValueError("global_rank must fit in 64 bits")
     if not isfinite(fields["timestamp"]):
         raise ValueError("timestamp must be finite")
     if not isfinite(exposure):
@@ -194,6 +215,7 @@ def _check_record(fields: Mapping) -> None:
     for name in _TEXT_FIELDS:
         if not isinstance(fields[name], str):
             raise ValueError(f"{name} must be a string")
+    return domain_of_url(fields["url"])
 
 
 #: The record fields' values of a decoded line, in field order.
@@ -282,14 +304,14 @@ class _ColumnData:
         return _TRI_NONE if value is None else int(value)
 
     def append_record(self, record: ImpressionRecord) -> None:
-        self.append_fields(vars(record))
+        self.append_fields(vars(record), record.domain)
 
-    def append_fields(self, fields: Mapping) -> None:
+    def append_fields(self, fields: Mapping, domain: str) -> None:
         """Append one row from a valid record's field mapping of canonical
-        types: ``vars(record)``, or a canonical decoded dump line."""
+        types (``vars(record)``, or a canonical decoded dump line) and the
+        domain of its URL."""
         intern = self.intern
         tri = self._tri
-        url = fields["url"]
         rank = fields["global_rank"]
         self.ids.append(fields["record_id"])
         self.timestamp.append(fields["timestamp"])
@@ -300,8 +322,8 @@ class _ColumnData:
         self.pixels.append(tri(fields["pixels_in_view"]))
         self.campaign.append(intern(fields["campaign_id"]))
         self.creative.append(intern(fields["creative_id"]))
-        self.url.append(intern(url))
-        self.domain.append(intern(domain_of_url(url)))
+        self.url.append(intern(fields["url"]))
+        self.domain.append(intern(domain))
         self.ua.append(intern(fields["user_agent"]))
         self.ip.append(intern(fields["ip"]))
         self.ip_token.append(intern(fields["ip_token"]))
@@ -491,9 +513,9 @@ class ImpressionStore:
     """Append-only impression table with the audit's query surface.
 
     Instantiating this class yields the columnar backend, or the
-    row-backed reference implementation under
-    ``REPRO_REFERENCE_HOTPATH`` (:mod:`repro.util.hotpath`) — both
-    behave identically; only layout and query cost differ.
+    row-backed reference implementation in reference mode
+    (:func:`repro.util.hotpath.reference_hotpaths`) — both behave
+    identically; only layout and query cost differ.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -800,8 +822,7 @@ class _RowStore(ImpressionStore):
     """Reference backing: a Python list of frozen record dataclasses.
 
     Every query is the original full scan; kept so the equivalence tests
-    can pin the columnar backend byte for byte and ``python -m repro
-    bench`` can measure the layout change on identical work.
+    can pin the columnar backend byte for byte.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None,
@@ -940,16 +961,18 @@ class _ColumnarStore(ImpressionStore):
 
     def _loaded_row(self, data: object) -> tuple[int, object]:
         # A canonical line (every line a dump writes) is checked and kept
-        # as the field mapping the columns append from; any other line
-        # takes the constructor path, as on the reference backing.
+        # as the field mapping the columns append from, with the domain
+        # the check derived; any other line takes the constructor path,
+        # as on the reference backing.
         if _is_canonical(data):
-            _check_record(data)
+            domain = _check_record(data)
         else:
-            data = vars(ImpressionRecord(**data))
-        return data["record_id"], data
+            record = ImpressionRecord(**data)
+            data, domain = vars(record), record.domain
+        return data["record_id"], (data, domain)
 
     def _append_loaded(self, row: object) -> None:
-        self._data.append_fields(row)
+        self._data.append_fields(*row)
 
     # -- raw-column transfer ------------------------------------------- #
 

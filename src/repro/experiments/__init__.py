@@ -30,10 +30,9 @@ from repro.experiments.parallel import (
     ParallelExperimentRunner,
     run_paper_experiment_parallel,
 )
-from repro.experiments import bench, tables, figures
+from repro.experiments import tables, figures
 
 __all__ = [
-    "bench",
     "ExperimentConfig",
     "CampaignPlan",
     "PeriodPlan",

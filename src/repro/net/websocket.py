@@ -83,8 +83,7 @@ class Frame:
 def _apply_mask_reference(payload: bytes, mask: bytes) -> bytes:
     """Reference per-byte masking loop (RFC 6455 §5.3, written literally).
 
-    Kept as the equivalence oracle for the bulk implementation below and
-    as the baseline ``python -m repro bench`` measures against.
+    Kept as the equivalence oracle for the bulk implementation below.
     """
     if len(mask) != 4:
         raise WebSocketError("mask key must be 4 bytes")

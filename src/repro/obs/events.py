@@ -267,7 +267,7 @@ def validate_events_jsonl(text: str) -> int:
     """Validate a full NDJSON export line by line; returns the line count.
 
     Raises :class:`EventSchemaError` naming the first offending line —
-    strict by design, like the bench and coverage validators: a telemetry
+    strict by design, like the coverage validator: a telemetry
     export that fails validation should fail its writer, not degrade.
     """
     count = 0

@@ -35,7 +35,7 @@ from typing import Optional
 #: Environment flag enabling tracemalloc peaks ("1"/"true"/"yes"/"on").
 TRACEMALLOC_ENV = "REPRO_TRACEMALLOC"
 
-#: Gauge name prefix; consumers (bench, report) rebuild the per-stage
+#: Gauge name prefix; consumers (the run report) rebuild the per-stage
 #: table by parsing ``mem.{stage}.{field}`` back apart.
 GAUGE_PREFIX = "mem"
 
@@ -151,8 +151,7 @@ def memory_watermarks(metrics) -> dict:
 
     The inverse of :meth:`MemoryWatch.record_to`: collects every
     wall-domain ``mem.{stage}.{field}`` gauge into
-    ``{stage: {field: value}}``.  Used by the bench document and the run
-    report.
+    ``{stage: {field: value}}``.  Used by the run report.
     """
     from repro.obs.metrics import WALL
 

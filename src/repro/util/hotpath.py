@@ -4,16 +4,10 @@ Every performance-sensitive function that was rewritten for speed keeps
 its original ("reference") implementation alongside the optimized one,
 and consults this module to decide which to run.  The contract is that
 both produce byte-identical outputs; the reference paths exist so that
+equivalence tests can pin the optimized implementations against the
+originals on the same inputs.
 
-* equivalence tests can pin the optimized implementations against the
-  originals on the same inputs, and
-* ``python -m repro bench`` can measure the end-to-end speedup by
-  running the identical scenario once per mode.
-
-The mode is process-global.  It initialises from the
-``REPRO_REFERENCE_HOTPATH`` environment variable (any value other than
-empty or ``0`` enables reference mode) so a whole subprocess can be
-flipped without touching code, and can be toggled at runtime with
+The mode is process-global and off at import.  Tests toggle it with
 :func:`set_reference_mode` / :func:`reference_hotpaths`.
 
 Hot functions read the module-level ``_REFERENCE`` flag directly — one
@@ -24,10 +18,9 @@ modules immediately.
 from __future__ import annotations
 
 import contextlib
-import os
 from typing import Iterator
 
-_REFERENCE: bool = os.environ.get("REPRO_REFERENCE_HOTPATH", "") not in ("", "0")
+_REFERENCE: bool = False
 
 
 def reference_mode() -> bool:

@@ -1,8 +1,9 @@
 """Plain-text table rendering for experiment outputs.
 
-The benchmark harness prints the same rows the paper's tables report; this
-module renders them as aligned ASCII so the output is directly comparable
-to the paper (and diff-able between runs).
+The experiment tables, audit reports and ablation benchmarks print the
+same rows the paper's tables report; this module renders them as aligned
+ASCII so the output is directly comparable to the paper (and diff-able
+between runs).
 """
 
 from __future__ import annotations

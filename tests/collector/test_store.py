@@ -10,6 +10,7 @@ from repro.collector.store import (
     ImpressionStore,
     StoreSealedError,
     _ColumnarStore,
+    _RowStore,
 )
 
 
@@ -34,6 +35,21 @@ def make_record(record_id=1, campaign="Research-010", domain="diario1.es",
 LINE = dict(record_id=1, campaign_id="c-1", creative_id="cr-1",
             url="http://a.example/x", user_agent="UA-1", ip="1.2.3.4",
             timestamp=10.0, exposure_seconds=2.0)
+#: LINE with every field present, each of its dumped JSON type: a line
+#: the columnar load appends without building a record.
+FULL_LINE = dict(LINE, mouse_moves=0, clicks=0, truncated=False,
+                 pixels_in_view=None, ip_token="", provider="", country="",
+                 global_rank=None, is_datacenter=None, dc_stage="")
+#: Field values no column can hold, with the message a load gives.
+UNSTORABLE = [
+    ("clicks", 5_000_000_000, "interaction counts must be below 2**32"),
+    ("record_id", 2**63, "record_id must be below 2**63"),
+    ("global_rank", 2**63, "global_rank must fit in 64 bits"),
+    ("mouse_moves", float("inf"), "cannot convert float infinity to integer"),
+    ("url", "http:///x", "cannot extract domain from 'http:///x'"),
+]
+UNSTORABLE_IDS = ["clicks-overflow", "record-id-overflow", "rank-overflow",
+                  "infinite-count", "host-less-url"]
 
 
 class TestImpressionRecord:
@@ -198,14 +214,34 @@ class TestPersistence:
         ('{"record_id": 1} {}', "Extra data: line 1 column 18 (char 17)"),
         ("\ufeff{}", "Unexpected UTF-8 BOM (decode using utf-8-sig): "
          "line 1 column 1 (char 0)"),
-    ], ids=["bad-json", "unknown-key", "missing-key", "null-record-id",
-            "negative-exposure", "url-not-string", "null-user-agent",
-            "nan-timestamp", "infinite-exposure", "minus-infinite-exposure",
-            "extra-data", "byte-order-mark"])
+    ] + [(json.dumps({**FULL_LINE, name: value}), message)
+         for name, value, message in UNSTORABLE],
+        ids=["bad-json", "unknown-key", "missing-key", "null-record-id",
+             "negative-exposure", "url-not-string", "null-user-agent",
+             "nan-timestamp", "infinite-exposure", "minus-infinite-exposure",
+             "extra-data", "byte-order-mark"] + UNSTORABLE_IDS)
     def test_load_error_text(self, text, message):
         with pytest.raises(ValueError) as caught:
             ImpressionStore.loads_jsonl(f"\n{text}\n", source="d.jsonl")
         assert str(caught.value) == f"d.jsonl:2: bad record: {message}"
+
+    @pytest.mark.parametrize("backend", [_ColumnarStore, _RowStore])
+    @pytest.mark.parametrize("name, value, message", UNSTORABLE,
+                             ids=UNSTORABLE_IDS)
+    def test_unstorable_value_fails_located_everywhere(
+            self, tmp_path, backend, name, value, message):
+        # Both backings and both entry paths refuse the line with its
+        # location; none lets an exception from a column escape.
+        text = (json.dumps(FULL_LINE) + "\n"
+                + json.dumps({**FULL_LINE, "record_id": 2, name: value})
+                + "\n")
+        path = tmp_path / "d.jsonl"
+        path.write_text(text, encoding="utf-8")
+        for load in (lambda: backend.loads_jsonl(text, source=str(path)),
+                     lambda: backend.load_jsonl(path)):
+            with pytest.raises(ValueError) as caught:
+                load()
+            assert str(caught.value) == f"{path}:2: bad record: {message}"
 
     def test_dump_writes_strict_json(self):
         # A non-finite value can only reach the columns through a raw

@@ -9,7 +9,9 @@ and raw records, empty stores) plus directed tests for the new mutation
 paths (``enrich_at``, ``absorb_columns``) and their sealed-store guards.
 """
 
+import gc
 import json
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -393,7 +395,8 @@ CANONICAL_LINES = (
 #: non-finite floats the standard decoder accepts and negative numbers.
 PERTURBED_VALUES = (
     0, 1, 7, -1, 0.0, 2.5, -2.5, True, False, "", "x", "http://c.example/",
-    None, float("nan"), float("inf"), float("-inf"),
+    None, float("nan"), float("inf"), float("-inf"), 2**32, 2**63,
+    "http:///x",
 )
 perturbed_values = st.sampled_from(PERTURBED_VALUES)
 perturbations = st.one_of(
@@ -492,3 +495,18 @@ def test_dump_loads_without_building_records(small_result, monkeypatch):
     assert built == []
     assert len(loaded) > 0
     assert loaded.dumps_jsonl() == text
+
+
+def test_sealed_store_memory_budget(small_result):
+    # A loaded and sealed columnar store holds about 340-360 B of Python
+    # heap per record; the row backing holds about 1,000.  The budget
+    # catches a layout regression, not allocator noise.
+    text = small_result.dataset.store.dumps_jsonl()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store = ImpressionStore.loads_jsonl(text).seal()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / len(store) <= 400

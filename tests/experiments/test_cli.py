@@ -98,27 +98,6 @@ class TestMain:
         err = capsys.readouterr().err
         assert "999999" in err
 
-    def test_bench_probe_rejects_a_sweep(self, capsys):
-        code = main(["bench", "--probe", "--scale", "0.004",
-                     "--jobs", "1,2"])
-        assert code == 2
-        assert "single jobs value" in capsys.readouterr().err
-
-    def test_bench_probe_emits_one_json_row(self, capsys):
-        code = main(["bench", "--probe", "--scale", "0.004", "--seed", "5",
-                     "--jobs", "2"])
-        assert code == 0
-        row = json.loads(capsys.readouterr().out)
-        assert row["mode"] == "parallel"
-        assert row["jobs"] == 2
-        assert row["warm_wall_seconds"] > 0
-        assert row["cold_start_seconds"] >= 0
-
-    def test_bench_jobs_garbage_rejected(self, capsys):
-        code = main(["bench", "--scale", "0.004", "--jobs", "zero"])
-        assert code == 2
-        assert "--jobs" in capsys.readouterr().err
-
     def test_metrics_flags(self, capsys, tmp_path):
         metrics_path = tmp_path / "metrics.json"
         code = main(["--scale", "0.01", "--seed", "6", "--table", "3",
@@ -212,11 +191,3 @@ class TestDroppedTraceMessage:
         assert "37 dropped" in message
         assert "record #123" in message
 
-
-class TestBenchTracemallocFlag:
-    def test_parses_and_defaults_off(self):
-        from repro.__main__ import build_bench_parser
-
-        assert build_bench_parser().parse_args([]).tracemalloc is False
-        assert build_bench_parser().parse_args(
-            ["--tracemalloc"]).tracemalloc is True

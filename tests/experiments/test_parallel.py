@@ -165,7 +165,7 @@ class TestParallelEquivalence:
 
 
 class TestJobsSweepEquivalence:
-    """The ``--jobs`` sweep contract at the ``small`` bench preset.
+    """The ``--jobs`` sweep contract at scale 0.02.
 
     ``shard_slices=5`` gives 25 shards — divisible by neither 2 nor 4 —
     so every worker count leaves a ragged final wave and completion
@@ -174,10 +174,8 @@ class TestJobsSweepEquivalence:
 
     @pytest.fixture(scope="class")
     def sweep_config(self):
-        from repro.experiments.bench import SCALE_PRESETS
-
         config = dataclasses.replace(
-            paper_experiment(seed=2016, scale=SCALE_PRESETS["small"]),
+            paper_experiment(seed=2016, scale=0.02),
             shard_slices=5)
         shard_count = len(plan_shards(config))
         assert shard_count % 2 != 0 and shard_count % 4 != 0

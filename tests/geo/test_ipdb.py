@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.geo.ipdb import GeoIpDatabase
-from repro.geo.providers import ProviderKind, ProviderRegistry
+from repro.geo.providers import ProviderRegistry
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.net.transport import (
-    Connection,
     ConnectionClosed,
     Endpoint,
     NetworkConditions,
