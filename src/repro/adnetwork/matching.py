@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from repro.adnetwork.campaign import CampaignSpec
 from repro.taxonomy.lexicon import Lexicon
 from repro.taxonomy.tree import TaxonomyTree
-from repro.util import hotpath
 from repro.web.publisher import Publisher
 
 
@@ -129,24 +128,7 @@ class MatchEngine:
             self._contextual_cache[key] = self._contextual(campaign, publisher)
         return self._contextual_cache[key]
 
-    def _contextual_reference(self, campaign: CampaignSpec,
-                              publisher: Publisher) -> bool:
-        """Reference nested-loop classifier (the equivalence oracle)."""
-        if any(publisher.matches_keyword(keyword)
-               for keyword in campaign.keywords):
-            return True
-        campaign_topics = self.campaign_topics(campaign)
-        for campaign_topic in campaign_topics:
-            for publisher_topic in publisher.topics:
-                if self.tree.path_length_uncached(
-                        campaign_topic,
-                        publisher_topic) <= self.vertical_radius_edges:
-                    return True
-        return False
-
     def _contextual(self, campaign: CampaignSpec, publisher: Publisher) -> bool:
-        if hotpath._REFERENCE:
-            return self._contextual_reference(campaign, publisher)
         if any(publisher.matches_keyword(keyword)
                for keyword in campaign.keywords):
             return True
@@ -157,23 +139,6 @@ class MatchEngine:
             campaign, self.vertical_radius_edges)
         return not neighborhood.isdisjoint(publisher.topics)
 
-    def behavioural_match_reference(self, campaign: CampaignSpec,
-                                    interests: tuple[str, ...]) -> bool:
-        """Reference nested-loop profile matcher (the equivalence oracle)."""
-        campaign_topics = self.campaign_topics(campaign)
-        if not campaign_topics or not interests:
-            return False
-        interest_set = set(interests)
-        for topic in campaign_topics:
-            if topic in interest_set:
-                return True
-            # Interests one edge away (e.g. 'la-liga' vs keyword 'football')
-            # also trip the behavioural signal.
-            for interest in interest_set:
-                if self.tree.path_length_uncached(topic, interest) <= 1:
-                    return True
-        return False
-
     def behavioural_match(self, campaign: CampaignSpec,
                           interests: tuple[str, ...]) -> bool:
         """Does the visitor's recent browsing profile match the campaign?
@@ -182,8 +147,6 @@ class MatchEngine:
         edge away from one, i.e. exactly when it falls in the campaign's
         radius-1 neighbourhood — a single set intersection per call.
         """
-        if hotpath._REFERENCE:
-            return self.behavioural_match_reference(campaign, interests)
         if not interests or not self.campaign_topics(campaign):
             return False
         return not self._campaign_neighborhood(campaign, 1).isdisjoint(interests)

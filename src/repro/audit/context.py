@@ -17,8 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.audit.dataset import AuditDataset
-from repro.taxonomy.similarity import max_lch_similarity, similarity_threshold
-from repro.util import hotpath
+from repro.taxonomy.similarity import similarity_threshold
 from repro.util.stats import Fraction2
 
 
@@ -80,32 +79,7 @@ class ContextAudit:
             self._cache[key] = self._judge(campaign_id, domain)
         return self._cache[key]
 
-    def _judge_reference(self, campaign_id: str, domain: str) -> bool:
-        """Reference judge: full LCH cross-product per pair (the oracle)."""
-        campaign = self.dataset.campaigns[campaign_id]
-        info = self.dataset.publisher_info(domain)
-        if info is None:
-            return False
-        criterion = self.criterion
-        if criterion.use_keyword_match:
-            if any(info.matches_keyword(keyword)
-                   for keyword in campaign.keywords):
-                return True
-        if criterion.use_semantic_match:
-            lexicon = self.dataset.lexicon
-            campaign_topics = lexicon.topics_of(list(campaign.keywords))
-            publisher_topics = [topic for topic in info.topics
-                                if topic in lexicon.tree]
-            if campaign_topics and publisher_topics:
-                score = max_lch_similarity(lexicon.tree, campaign_topics,
-                                           publisher_topics)
-                if score >= self._threshold:
-                    return True
-        return False
-
     def _judge(self, campaign_id: str, domain: str) -> bool:
-        if hotpath._REFERENCE:
-            return self._judge_reference(campaign_id, domain)
         campaign = self.dataset.campaigns[campaign_id]
         info = self.dataset.publisher_info(domain)
         if info is None:

@@ -13,7 +13,6 @@ from repro.collector.store import ImpressionStore
 from repro.geo.ipdb import GeoIpDatabase, IpRecord
 from repro.geo.resolver import DataCenterResolver, DcVerdict
 from repro.obs.trace import FlightRecorder
-from repro.util import hotpath
 from repro.util.hashing import anonymize_ip
 from repro.web.ranking import RankingService
 
@@ -40,9 +39,6 @@ class Enricher:
         self._ip_memo: dict[str, tuple["IpRecord | None", DcVerdict, str]] = {}
 
     def _resolve_ip(self, ip: str) -> tuple["IpRecord | None", DcVerdict, str]:
-        if hotpath._REFERENCE:
-            return (self.ipdb.lookup(ip), self.resolver.classify(ip),
-                    anonymize_ip(ip, salt=self.salt))
         cached = self._ip_memo.get(ip)
         if cached is None:
             cached = (self.ipdb.lookup(ip), self.resolver.classify(ip),
@@ -60,9 +56,8 @@ class Enricher:
 
         Streams over :meth:`ImpressionStore.pending_enrichment` and writes
         the enrichment columns in place via
-        :meth:`ImpressionStore.enrich_at` — on the columnar backing this
-        never materialises a record view, let alone a replacement frozen
-        dataclass per record.
+        :meth:`ImpressionStore.enrich_at`, which never materialises a
+        record view, let alone a replacement frozen dataclass per record.
         """
         enriched = 0
         for index, record_id, ip, domain, timestamp in \

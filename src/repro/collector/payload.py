@@ -20,7 +20,6 @@ import urllib.parse
 from dataclasses import dataclass
 
 from repro.beacon.events import BeaconObservation, InteractionEvent, InteractionKind
-from repro.util import hotpath
 
 _VERSION = "1"
 
@@ -65,17 +64,7 @@ class InteractionMessage:
     offset_seconds: float
 
 
-def _quote_reference(value: str) -> str:
-    return urllib.parse.quote(value, safe="")
-
-
-def _unquote_reference(value: str) -> str:
-    return urllib.parse.unquote(value)
-
-
 def _quote(value: str) -> str:
-    if hotpath._REFERENCE:
-        return _quote_reference(value)
     # str.strip with a chars argument removes characters from that set at
     # both ends; an empty result therefore proves every character is in
     # the always-safe set, in one C-level scan.
@@ -87,8 +76,8 @@ def _quote(value: str) -> str:
 def _unquote(value: str) -> str:
     # unquote only ever rewrites %XX escapes, so a value without a
     # percent sign round-trips unchanged.
-    if hotpath._REFERENCE or "%" in value:
-        return _unquote_reference(value)
+    if "%" in value:
+        return urllib.parse.unquote(value)
     return value
 
 
@@ -147,7 +136,7 @@ def _parse_evt_fast(raw: str) -> "InteractionMessage | None":
     a full split + field-dict build.  Returns None — falling back to the
     strict generic parser — whenever the message deviates from the
     canonical shape, so error semantics (duplicate fields, malformed
-    pairs) are byte-identical to the reference path.
+    pairs) are byte-identical to the generic parser's.
     """
     rest = raw[9:]  # past "EVT|kind="
     kind_value, separator, t_value = rest.partition("|t=")
@@ -176,7 +165,7 @@ def parse_message(raw: str) -> HelloMessage | InteractionMessage:
     """
     if not raw:
         raise PayloadError("empty message")
-    if not hotpath._REFERENCE and raw.startswith("EVT|kind="):
+    if raw.startswith("EVT|kind="):
         message = _parse_evt_fast(raw)
         if message is not None:
             return message

@@ -5,31 +5,24 @@ query surface the audit needs (per-campaign slices, distinct publishers,
 per-user groupings) and JSONL persistence so datasets survive between
 collection and analysis runs.
 
-Two interchangeable backings implement the store:
-
-* :class:`_ColumnarStore` (the default) keeps every field in a typed
-  column — ``array``-module numerics for timestamps/exposure/counts/ids,
-  a per-store interned string table with ``array('I')`` index columns
-  for the string fields, and presence/tri-state byte columns for the
-  nullable enrichment fields.  ``ImpressionRecord`` becomes a lightweight
-  view materialised on demand, and ``seal()`` builds per-column indexes
-  so the audit queries stop rescanning the whole table.
-* :class:`_RowStore` (in reference mode) retains the
-  original list-of-frozen-dataclasses layout and full-scan queries — the
-  reference implementation the equivalence tests pin the columnar
-  backend against, byte for byte.
-
-The backend is chosen at construction time from
-:mod:`repro.util.hotpath`; both expose the identical API, including the
-raw-column transfer surface (:meth:`ImpressionStore.export_columns` /
-:meth:`ImpressionStore.absorb_columns`) the shard merge rides on.
+The store is columnar: every field lives in a typed column —
+``array``-module numerics for timestamps/exposure/counts/ids, a
+per-store interned string table with ``array('I')`` index columns for
+the string fields, and presence/tri-state byte columns for the nullable
+enrichment fields.  :class:`ImpressionRecord` is a lightweight view
+materialised on demand, ``seal()`` builds per-column indexes so the
+audit queries stop rescanning the whole table, and the raw-column
+transfer surface (:meth:`ImpressionStore.export_columns` /
+:meth:`ImpressionStore.absorb_columns`) is what the shard merge rides
+on.  Its outputs are pinned by digests of every export, and the tests
+check its queries against plain lists of records.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import product
 from math import isfinite
 from operator import itemgetter
@@ -38,7 +31,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.util import hotpath
 from repro.web.publisher import domain_of_url
 
 #: Version tag of the raw-column payload produced by
@@ -108,9 +100,9 @@ class ImpressionRecord:
 
     def __post_init__(self) -> None:
         # Canonicalise the numeric/boolean fields to their declared JSON
-        # types so a record round-tripped through the columnar backing
-        # (which stores doubles/ints/bytes) serialises byte-identically
-        # to one held as a row.  Only a value of another type is
+        # types so a record round-tripped through the columns (which
+        # store doubles/ints/bytes) serialises byte-identically to the
+        # record it was built from.  Only a value of another type is
         # converted: on its own type the conversion is the identity.  A
         # null numeric field still reaches (and fails) conversion; the
         # value checks the direct load path shares follow.
@@ -182,7 +174,7 @@ def _check_record(fields: Mapping) -> str:
     The one value check behind both ways a record enters a store: the
     :class:`ImpressionRecord` constructor (after canonicalising types)
     and the direct JSONL load path.  It admits only values every column
-    can hold, so no backing appends part of a row and then fails.  The
+    can hold, so no append writes part of a row and then fails.  The
     finite, string and URL-host checks come last, so a record that an
     earlier check rejects keeps its message.
     """
@@ -230,25 +222,8 @@ _CANONICAL_TYPES = frozenset(product(*(
     for field in _FIELD_SPECS.values())))
 
 
-#: Derived logical fields ``select()`` accepts besides the record fields.
-_ROW_GETTERS: dict[str, Callable[[ImpressionRecord], object]] = {
-    "domain": lambda record: record.domain,
-    "user_key": lambda record: record.user_key,
-    "identity": lambda record: record.ip_token or record.ip,
-}
-
-
-def _row_getter(name: str) -> Callable[[ImpressionRecord], object]:
-    getter = _ROW_GETTERS.get(name)
-    if getter is not None:
-        return getter
-    if name not in _RECORD_FIELDS:
-        raise ValueError(f"unknown select field {name!r}")
-    return lambda record, _name=name: getattr(record, _name)
-
-
 class _ColumnData:
-    """The typed column set behind a columnar store.
+    """The typed column set behind an :class:`ImpressionStore`.
 
     One instance owns the interned string table shared by every string
     column, the numeric ``array`` columns, and the presence/tri-state
@@ -356,12 +331,8 @@ class _ColumnData:
         self.rank[row] = record.global_rank or 0
         self.is_dc[row] = self._tri(record.is_datacenter)
 
-    def record(self, row: int,
-               record_id: Optional[int] = None) -> ImpressionRecord:
-        fields = self.row_dict(row)
-        if record_id is not None:
-            fields["record_id"] = record_id
-        return ImpressionRecord(**fields)
+    def record(self, row: int) -> ImpressionRecord:
+        return ImpressionRecord(**self.row_dict(row))
 
     def row_dict(self, row: int) -> dict:
         """The record as the plain dict ``asdict`` would produce."""
@@ -512,16 +483,13 @@ def _validated_payload(payload: tuple) -> tuple:
 class ImpressionStore:
     """Append-only impression table with the audit's query surface.
 
-    Instantiating this class yields the columnar backend, or the
-    row-backed reference implementation in reference mode
-    (:func:`repro.util.hotpath.reference_hotpaths`) — both behave
-    identically; only layout and query cost differ.
+    Every field lives in a typed column (:class:`_ColumnData`), so
+    :class:`ImpressionRecord` is a view materialised on demand: callers
+    that want rows still get rows, while the bulk surfaces (``select``,
+    persistence, the raw-column transfer, enrichment) read and write the
+    columns directly.  ``seal()`` builds the per-column indexes the audit
+    queries are served from.
     """
-
-    def __new__(cls, *args, **kwargs):
-        if cls is ImpressionStore:
-            cls = _RowStore if hotpath._REFERENCE else _ColumnarStore
-        return object.__new__(cls)
 
     def __init__(self, metrics: MetricsRegistry | None = None,
                  tracer: "Tracer | None" = None) -> None:
@@ -535,25 +503,20 @@ class ImpressionStore:
             "store.replaces", help="in-place record overwrites (enrichment)")
         self._sealed_gauge = metrics.gauge(
             "store.sealed", help="1 once the store is frozen against writes")
-
-    # ------------------------------------------------------------------ #
-    # backend primitives (implemented by the two backings)
-    # ------------------------------------------------------------------ #
-
-    def _append(self, record: ImpressionRecord) -> None:
-        raise NotImplementedError
-
-    def _record_at(self, index: int) -> ImpressionRecord:
-        raise NotImplementedError
-
-    def _write_row(self, index: int, record: ImpressionRecord) -> None:
-        raise NotImplementedError
+        self._data = _ColumnData()
+        # seal()-built indexes: campaign intern index -> row positions /
+        # domain sets, plus the global user-key grouping.
+        self._campaign_rows: dict[int, array] | None = None
+        self._campaign_domains: dict[int, set[str]] | None = None
+        self._all_domains: set[str] | None = None
+        self._user_rows: dict[str, array] | None = None
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return len(self._data)
 
     def __iter__(self) -> Iterator[ImpressionRecord]:
-        return (self._record_at(index) for index in range(len(self)))
+        record = self._data.record
+        return (record(row) for row in range(len(self._data)))
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -569,9 +532,11 @@ class ImpressionStore:
 
         The experiment runner seals its dataset after enrichment so that a
         memoised result shared between benchmarks cannot be contaminated by
-        one caller mutating it.  The columnar backend builds its query
-        indexes here.  Returns self for chaining.
+        one caller mutating it.  The query indexes are built here.  Returns
+        self for chaining.
         """
+        if not self._sealed:
+            self._build_indexes()
         self._sealed = True
         self._sealed_gauge.set(1)
         return self
@@ -596,7 +561,7 @@ class ImpressionStore:
         if record.record_id != self._next_id:
             raise ValueError(
                 f"expected record_id {self._next_id}, got {record.record_id}")
-        self._append(record)
+        self._data.append_record(record)
         self._next_id += 1
         self._appends.inc()
         self.tracer.event("store.commit", at=self.tracer.now,
@@ -604,9 +569,9 @@ class ImpressionStore:
                           campaign=record.campaign_id)
 
     def replace_at(self, index: int, record: ImpressionRecord) -> None:
-        """Overwrite a record in place (enrichment uses this)."""
+        """Overwrite a record in place."""
         self._check_mutable()
-        self._write_row(index, record)
+        self._data.write_record(index, record)
         self._replaces.inc()
 
     def extend_reindexed(self, records: "Iterable[ImpressionRecord]") -> int:
@@ -625,7 +590,7 @@ class ImpressionStore:
         for record in records:
             if record.record_id != self._next_id:
                 record = replace(record, record_id=self._next_id)
-            self._append(record)
+            self._data.append_record(record)
             self._next_id += 1
             added += 1
         self._note_bulk_append(added, first_id)
@@ -642,7 +607,7 @@ class ImpressionStore:
         """
         self._check_mutable()
         first_id = self._next_id
-        added = self._absorb_payload(payload, first_id)
+        added = self._data.absorb(payload, first_id)
         self._next_id += added
         self._note_bulk_append(added, first_id)
         return added
@@ -657,10 +622,7 @@ class ImpressionStore:
 
     def export_columns(self) -> tuple:
         """The store's rows as a raw-column payload (picklable tuple)."""
-        raise NotImplementedError
-
-    def _absorb_payload(self, payload: tuple, first_id: int) -> int:
-        raise NotImplementedError
+        return self._data.payload()
 
     # ------------------------------------------------------------------ #
     # enrichment surface
@@ -671,320 +633,6 @@ class ImpressionStore:
         record whose enrichment columns are still empty (``ip_token``
         unset), in row order — the streaming input of
         :meth:`repro.collector.enrich.Enricher.enrich_store`."""
-        raise NotImplementedError
-
-    def enrich_at(self, index: int, *, ip_token: str, provider: str,
-                  country: str, global_rank: Optional[int],
-                  is_datacenter: Optional[bool], dc_stage: str) -> None:
-        """Write one record's enrichment columns in place (and clear the
-        raw IP).  The columnar backend writes columns directly; the
-        reference backend rebuilds the frozen record, as the original
-        enrichment pass did."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-
-    def campaigns(self) -> list[str]:
-        """Distinct campaign ids, in first-seen order."""
-        raise NotImplementedError
-
-    def by_campaign(self, campaign_id: str) -> list[ImpressionRecord]:
-        """All records logged for one campaign."""
-        raise NotImplementedError
-
-    def count_for(self, campaign_id: str) -> int:
-        """Number of records logged for one campaign."""
-        raise NotImplementedError
-
-    def where(self, predicate: Callable[[ImpressionRecord], bool]
-              ) -> list[ImpressionRecord]:
-        """Generic filtered scan."""
-        return [record for record in self if predicate(record)]
-
-    def distinct_domains(self, campaign_id: Optional[str] = None) -> set[str]:
-        """Publisher domains observed (optionally for one campaign)."""
-        raise NotImplementedError
-
-    def by_user(self, campaign_id: Optional[str] = None
-                ) -> dict[str, list[ImpressionRecord]]:
-        """Records grouped by (IP, User-Agent) user key."""
-        raise NotImplementedError
-
-    def select(self, campaign_id: Optional[str], *fields: str) -> list[tuple]:
-        """Project *fields* for every record (of one campaign, or all).
-
-        Accepts any :class:`ImpressionRecord` field name plus the derived
-        ``domain``, ``user_key`` and ``identity`` (``ip_token or ip``)
-        columns; returns one tuple per record in row order.  The audits'
-        bulk reads ride this so the columnar backend can answer them from
-        its columns without materialising record views.
-        """
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # persistence
-    # ------------------------------------------------------------------ #
-
-    def _iter_jsonl_lines(self) -> Iterator[str]:
-        raise NotImplementedError
-
-    def dumps_jsonl(self) -> str:
-        """Serialise every record as one JSON object per line."""
-        return "".join(line + "\n" for line in self._iter_jsonl_lines())
-
-    def dump_jsonl(self, path: str | Path) -> int:
-        """Write every record as one JSON object per line; returns count.
-
-        Streams line by line — the dump never builds the whole document
-        in memory the way :meth:`dumps_jsonl` must.
-        """
-        with open(Path(path), "w", encoding="utf-8", newline="") as handle:
-            for line in self._iter_jsonl_lines():
-                handle.write(line + "\n")
-        return len(self)
-
-    def _load_lines(self, lines: Iterable[str], source: str) -> None:
-        """Parse JSONL *lines* into this (empty) store.
-
-        Shared by :meth:`loads_jsonl` and :meth:`load_jsonl`; the error
-        messages name ``source:line_number`` identically for both.  The
-        appends counter advances once for the whole batch, so a loaded
-        store reports how many records it holds instead of zero.
-        """
-        last_id = 0
-        added = 0
-        for line_number, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record_id, row = self._loaded_row(_decode_line(line))
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{source}:{line_number}: bad record: {exc}") from exc
-            if record_id == last_id:
-                raise ValueError(
-                    f"{source}:{line_number}: duplicate record id "
-                    f"{record_id}")
-            if record_id < last_id:
-                raise ValueError(
-                    f"{source}:{line_number}: record ids must be strictly "
-                    f"increasing ({record_id} after {last_id})")
-            self._append_loaded(row)
-            last_id = record_id
-            added += 1
-        self._next_id = last_id + 1
-        if added:
-            self._appends.inc(added)
-
-    def _loaded_row(self, data: object) -> tuple[int, object]:
-        """One decoded dump line, validated: its record id and the row
-        :meth:`_append_loaded` takes.  Here that row is the record the
-        constructor builds, which canonicalises or rejects the line."""
-        record = ImpressionRecord(**data)
-        return record.record_id, record
-
-    def _append_loaded(self, row: object) -> None:
-        self._append(row)
-
-    @classmethod
-    def loads_jsonl(cls, text: str,
-                    source: str = "<string>") -> "ImpressionStore":
-        """Rebuild a store from :meth:`dumps_jsonl` output.
-
-        Record ids are required to be strictly increasing, not contiguous:
-        a dump produced by filtering or merging stores (record ids with
-        gaps, first id > 1) reloads cleanly, and the store keeps allocating
-        fresh ids from ``max_id + 1``.
-        """
-        store = cls()
-        store._load_lines(text.splitlines(), source)
-        return store
-
-    @classmethod
-    def load_jsonl(cls, path: str | Path) -> "ImpressionStore":
-        """Rebuild a store from :meth:`dump_jsonl` output (see loads_jsonl).
-
-        Streams the file line by line instead of reading the whole dump
-        into memory first; error messages are identical to
-        :meth:`loads_jsonl` with the path as the source.
-        """
-        path = Path(path)
-        store = cls()
-        with open(path, encoding="utf-8") as handle:
-            store._load_lines(handle, source=str(path))
-        return store
-
-
-class _RowStore(ImpressionStore):
-    """Reference backing: a Python list of frozen record dataclasses.
-
-    Every query is the original full scan; kept so the equivalence tests
-    can pin the columnar backend byte for byte.
-    """
-
-    def __init__(self, metrics: MetricsRegistry | None = None,
-                 tracer: "Tracer | None" = None) -> None:
-        super().__init__(metrics=metrics, tracer=tracer)
-        self._records: list[ImpressionRecord] = []
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[ImpressionRecord]:
-        return iter(self._records)
-
-    def _append(self, record: ImpressionRecord) -> None:
-        self._records.append(record)
-
-    def _record_at(self, index: int) -> ImpressionRecord:
-        return self._records[index]
-
-    def _write_row(self, index: int, record: ImpressionRecord) -> None:
-        self._records[index] = record
-
-    # -- raw-column transfer ------------------------------------------- #
-
-    def export_columns(self) -> tuple:
-        data = _ColumnData()
-        for record in self._records:
-            data.append_record(record)
-        return data.payload()
-
-    def _absorb_payload(self, payload: tuple, first_id: int) -> int:
-        data = _ColumnData.from_payload(payload)
-        for row in range(len(data)):
-            self._records.append(data.record(row, record_id=first_id + row))
-        return len(data)
-
-    # -- enrichment ------------------------------------------------------ #
-
-    def pending_enrichment(self) -> Iterator[tuple]:
-        for index, record in enumerate(self._records):
-            if record.ip_token:
-                continue
-            yield (index, record.record_id, record.ip, record.domain,
-                   record.timestamp)
-
-    def enrich_at(self, index: int, *, ip_token: str, provider: str,
-                  country: str, global_rank: Optional[int],
-                  is_datacenter: Optional[bool], dc_stage: str) -> None:
-        self.replace_at(index, replace(
-            self._records[index],
-            ip_token=ip_token,
-            ip="",
-            provider=provider,
-            country=country,
-            global_rank=global_rank,
-            is_datacenter=is_datacenter,
-            dc_stage=dc_stage,
-        ))
-
-    # -- queries (reference full scans) ---------------------------------- #
-
-    def campaigns(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for record in self._records:
-            seen.setdefault(record.campaign_id, None)
-        return list(seen)
-
-    def by_campaign(self, campaign_id: str) -> list[ImpressionRecord]:
-        return [record for record in self._records
-                if record.campaign_id == campaign_id]
-
-    def count_for(self, campaign_id: str) -> int:
-        return sum(1 for record in self._records
-                   if record.campaign_id == campaign_id)
-
-    def distinct_domains(self, campaign_id: Optional[str] = None) -> set[str]:
-        records = self._records if campaign_id is None \
-            else self.by_campaign(campaign_id)
-        return {record.domain for record in records}
-
-    def by_user(self, campaign_id: Optional[str] = None
-                ) -> dict[str, list[ImpressionRecord]]:
-        records = self._records if campaign_id is None \
-            else self.by_campaign(campaign_id)
-        grouped: dict[str, list[ImpressionRecord]] = {}
-        for record in records:
-            grouped.setdefault(record.user_key, []).append(record)
-        return grouped
-
-    def select(self, campaign_id: Optional[str], *fields: str) -> list[tuple]:
-        getters = [_row_getter(name) for name in fields]
-        records = self._records if campaign_id is None \
-            else self.by_campaign(campaign_id)
-        return [tuple(getter(record) for getter in getters)
-                for record in records]
-
-    # -- persistence ------------------------------------------------------ #
-
-    def _iter_jsonl_lines(self) -> Iterator[str]:
-        return (json.dumps(asdict(record), sort_keys=True, allow_nan=False)
-                for record in self._records)
-
-
-class _ColumnarStore(ImpressionStore):
-    """Columnar backing: typed ``array`` columns plus a string table.
-
-    Records materialise on demand as :class:`ImpressionRecord` views, so
-    callers that want rows still get rows; the bulk surfaces (``select``,
-    persistence, the raw-column transfer, enrichment) read and write the
-    columns directly.  ``seal()`` builds the per-column indexes the audit
-    queries are served from.
-    """
-
-    def __init__(self, metrics: MetricsRegistry | None = None,
-                 tracer: "Tracer | None" = None) -> None:
-        super().__init__(metrics=metrics, tracer=tracer)
-        self._data = _ColumnData()
-        # seal()-built indexes: campaign intern index -> row positions /
-        # domain sets, plus the global user-key grouping.
-        self._campaign_rows: dict[int, array] | None = None
-        self._campaign_domains: dict[int, set[str]] | None = None
-        self._all_domains: set[str] | None = None
-        self._user_rows: dict[str, array] | None = None
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def _append(self, record: ImpressionRecord) -> None:
-        self._data.append_record(record)
-
-    def _record_at(self, index: int) -> ImpressionRecord:
-        return self._data.record(index)
-
-    def _write_row(self, index: int, record: ImpressionRecord) -> None:
-        self._data.write_record(index, record)
-
-    def _loaded_row(self, data: object) -> tuple[int, object]:
-        # A canonical line (every line a dump writes) is checked and kept
-        # as the field mapping the columns append from, with the domain
-        # the check derived; any other line takes the constructor path,
-        # as on the reference backing.
-        if _is_canonical(data):
-            domain = _check_record(data)
-        else:
-            record = ImpressionRecord(**data)
-            data, domain = vars(record), record.domain
-        return data["record_id"], (data, domain)
-
-    def _append_loaded(self, row: object) -> None:
-        self._data.append_fields(*row)
-
-    # -- raw-column transfer ------------------------------------------- #
-
-    def export_columns(self) -> tuple:
-        return self._data.payload()
-
-    def _absorb_payload(self, payload: tuple, first_id: int) -> int:
-        return self._data.absorb(payload, first_id)
-
-    # -- enrichment ------------------------------------------------------ #
-
-    def pending_enrichment(self) -> Iterator[tuple]:
         data = self._data
         strings = data.strings
         for row, token in enumerate(data.ip_token):
@@ -996,6 +644,8 @@ class _ColumnarStore(ImpressionStore):
     def enrich_at(self, index: int, *, ip_token: str, provider: str,
                   country: str, global_rank: Optional[int],
                   is_datacenter: Optional[bool], dc_stage: str) -> None:
+        """Write one record's enrichment columns in place (and clear the
+        raw IP), without materialising the record."""
         self._check_mutable()
         data = self._data
         data.ip_token[index] = data.intern(ip_token)
@@ -1008,12 +658,9 @@ class _ColumnarStore(ImpressionStore):
         data.is_dc[index] = data._tri(is_datacenter)
         self._replaces.inc()
 
-    # -- seal-time indexes ------------------------------------------------ #
-
-    def seal(self) -> "ImpressionStore":
-        if not self._sealed:
-            self._build_indexes()
-        return super().seal()
+    # ------------------------------------------------------------------ #
+    # seal-time indexes
+    # ------------------------------------------------------------------ #
 
     def _build_indexes(self) -> None:
         campaign_rows: dict[int, array] = {}
@@ -1051,9 +698,12 @@ class _ColumnarStore(ImpressionStore):
         return array("I", (row for row, value in enumerate(column)
                            if value == index))
 
-    # -- queries ---------------------------------------------------------- #
+    # ------------------------------------------------------------------ #
+    # queries
+    # ------------------------------------------------------------------ #
 
     def campaigns(self) -> list[str]:
+        """Distinct campaign ids, in first-seen order."""
         strings = self._data.strings
         if self._campaign_rows is not None:
             return [strings[index] for index in self._campaign_rows]
@@ -1061,12 +711,20 @@ class _ColumnarStore(ImpressionStore):
                 for index in dict.fromkeys(self._data.campaign)]
 
     def by_campaign(self, campaign_id: str) -> list[ImpressionRecord]:
+        """All records logged for one campaign."""
         return [self._data.record(row) for row in self._rows_for(campaign_id)]
 
     def count_for(self, campaign_id: str) -> int:
+        """Number of records logged for one campaign."""
         return len(self._rows_for(campaign_id))
 
+    def where(self, predicate: Callable[[ImpressionRecord], bool]
+              ) -> list[ImpressionRecord]:
+        """Generic filtered scan."""
+        return [record for record in self if predicate(record)]
+
     def distinct_domains(self, campaign_id: Optional[str] = None) -> set[str]:
+        """Publisher domains observed (optionally for one campaign)."""
         if campaign_id is None:
             if self._all_domains is not None:
                 return set(self._all_domains)
@@ -1083,6 +741,7 @@ class _ColumnarStore(ImpressionStore):
 
     def by_user(self, campaign_id: Optional[str] = None
                 ) -> dict[str, list[ImpressionRecord]]:
+        """Records grouped by (IP, User-Agent) user key."""
         record = self._data.record
         if campaign_id is None and self._user_rows is not None:
             return {user_key: [record(row) for row in rows]
@@ -1131,15 +790,113 @@ class _ColumnarStore(ImpressionStore):
         raise ValueError(f"unknown select field {name!r}")
 
     def select(self, campaign_id: Optional[str], *fields: str) -> list[tuple]:
+        """Project *fields* for every record (of one campaign, or all).
+
+        Accepts any :class:`ImpressionRecord` field name plus the derived
+        ``domain``, ``user_key`` and ``identity`` (``ip_token or ip``)
+        columns; returns one tuple per record in row order.  Each field is
+        built once as a whole column over the row set, so the audits'
+        bulk reads never materialise record views.
+        """
         rows = None if campaign_id is None else self._rows_for(campaign_id)
         columns = [self._column(name, rows) for name in fields]
         if not columns:
             return [()] * (len(self._data) if rows is None else len(rows))
         return list(zip(*columns))
 
-    # -- persistence ------------------------------------------------------ #
+    # ------------------------------------------------------------------ #
+    # persistence
+    # ------------------------------------------------------------------ #
 
     def _iter_jsonl_lines(self) -> Iterator[str]:
         row_dict = self._data.row_dict
         return (json.dumps(row_dict(row), sort_keys=True, allow_nan=False)
                 for row in range(len(self._data)))
+
+    def dumps_jsonl(self) -> str:
+        """Serialise every record as one JSON object per line."""
+        return "".join(line + "\n" for line in self._iter_jsonl_lines())
+
+    def dump_jsonl(self, path: str | Path) -> int:
+        """Write every record as one JSON object per line; returns count.
+
+        Streams line by line — the dump never builds the whole document
+        in memory the way :meth:`dumps_jsonl` must.
+        """
+        with open(Path(path), "w", encoding="utf-8", newline="") as handle:
+            for line in self._iter_jsonl_lines():
+                handle.write(line + "\n")
+        return len(self)
+
+    def _load_lines(self, lines: Iterable[str], source: str) -> None:
+        """Parse JSONL *lines* into this (empty) store.
+
+        Shared by :meth:`loads_jsonl` and :meth:`load_jsonl`; the error
+        messages name ``source:line_number`` identically for both.  The
+        appends counter advances once for the whole batch, so a loaded
+        store reports how many records it holds instead of zero.
+        """
+        append = self._data.append_fields
+        last_id = 0
+        added = 0
+        for line_number, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                data = _decode_line(line)
+                # A canonical line (every line a dump writes) is checked
+                # and appended from as it is, with the domain the check
+                # derived; any other line goes through the constructor,
+                # which canonicalises or rejects it.
+                if _is_canonical(data):
+                    domain = _check_record(data)
+                else:
+                    record = ImpressionRecord(**data)
+                    data, domain = vars(record), record.domain
+            except (json.JSONDecodeError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{source}:{line_number}: bad record: {exc}") from exc
+            record_id = data["record_id"]
+            if record_id == last_id:
+                raise ValueError(
+                    f"{source}:{line_number}: duplicate record id "
+                    f"{record_id}")
+            if record_id < last_id:
+                raise ValueError(
+                    f"{source}:{line_number}: record ids must be strictly "
+                    f"increasing ({record_id} after {last_id})")
+            append(data, domain)
+            last_id = record_id
+            added += 1
+        self._next_id = last_id + 1
+        if added:
+            self._appends.inc(added)
+
+    @classmethod
+    def loads_jsonl(cls, text: str,
+                    source: str = "<string>") -> "ImpressionStore":
+        """Rebuild a store from :meth:`dumps_jsonl` output.
+
+        Record ids are required to be strictly increasing, not contiguous:
+        a dump produced by filtering or merging stores (record ids with
+        gaps, first id > 1) reloads cleanly, and the store keeps allocating
+        fresh ids from ``max_id + 1``.
+        """
+        store = cls()
+        store._load_lines(text.splitlines(), source)
+        return store
+
+    @classmethod
+    def load_jsonl(cls, path: str | Path) -> "ImpressionStore":
+        """Rebuild a store from :meth:`dump_jsonl` output (see loads_jsonl).
+
+        Streams the file line by line instead of reading the whole dump
+        into memory first; error messages are identical to
+        :meth:`loads_jsonl` with the path as the source.
+        """
+        path = Path(path)
+        store = cls()
+        with open(path, encoding="utf-8") as handle:
+            store._load_lines(handle, source=str(path))
+        return store

@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro.geo.providers import Provider, ProviderKind, ProviderRegistry
 from repro.net.cidrtrie import CidrTrie
-from repro.util import hotpath
 
 #: Bound on the per-database answer memo; a full-scale world sees a few
 #: hundred thousand distinct addresses, so the table is cleared (not
@@ -80,22 +79,10 @@ class GeoIpDatabase:
 
     def lookup(self, ip: str) -> Optional[IpRecord]:
         """Resolve *ip*; None when the address is unallocated space."""
-        if hotpath._REFERENCE:
-            return self.lookup_uncached(ip)
         return self._answer(ip)[1]
-
-    def lookup_uncached(self, ip: str) -> Optional[IpRecord]:
-        """Reference longest-prefix-match walk (the equivalence oracle)."""
-        provider = self._trie.lookup(ip)
-        if provider is None:
-            return None
-        return IpRecord(ip=ip, provider=provider.name,
-                        country=provider.country, kind=provider.kind)
 
     def provider_of(self, ip: str) -> Optional[Provider]:
         """The full provider object owning *ip*, if any."""
-        if hotpath._REFERENCE:
-            return self._trie.lookup(ip)
         return self._answer(ip)[0]
 
     def country_of(self, ip: str) -> Optional[str]:

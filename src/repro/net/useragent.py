@@ -12,8 +12,6 @@ import functools
 import random
 from dataclasses import dataclass
 
-from repro.util import hotpath
-
 _BROWSER_WEIGHTS = [
     ("chrome", 0.52),
     ("firefox", 0.17),
@@ -135,8 +133,6 @@ def parse_user_agent(raw: str) -> UserAgent:
     bounded LRU cache; :class:`UserAgent` is frozen, so the shared
     instances are safe to hand out.
     """
-    if hotpath._REFERENCE:
-        return parse_user_agent_uncached(raw)
     return _parse_user_agent_cached(raw)
 
 

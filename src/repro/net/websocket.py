@@ -22,7 +22,6 @@ from typing import Iterator, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.util import hotpath
 
 #: RFC 6455 §1.3 — fixed GUID appended to the client key before hashing.
 WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
@@ -80,27 +79,15 @@ class Frame:
             raise WebSocketError("invalid UTF-8 in text frame") from exc
 
 
-def _apply_mask_reference(payload: bytes, mask: bytes) -> bytes:
-    """Reference per-byte masking loop (RFC 6455 §5.3, written literally).
-
-    Kept as the equivalence oracle for the bulk implementation below.
-    """
-    if len(mask) != 4:
-        raise WebSocketError("mask key must be 4 bytes")
-    return bytes(byte ^ mask[index % 4] for index, byte in enumerate(payload))
-
-
 def _apply_mask(payload: bytes, mask: bytes) -> bytes:
     """XOR-mask (or unmask — the operation is its own inverse).
 
     The XOR runs as one arbitrary-precision integer operation: the
     4-byte key is tiled across the payload length and both sides are
     lifted to big-ints, so the per-byte work happens in C instead of a
-    Python-level loop.  Byte-identical to the reference loop for every
-    payload, including the empty one.
+    Python-level loop.  Byte-identical to the literal per-byte loop of
+    RFC 6455 §5.3 for every payload, including the empty one.
     """
-    if hotpath._REFERENCE:
-        return _apply_mask_reference(payload, mask)
     if len(mask) != 4:
         raise WebSocketError("mask key must be 4 bytes")
     length = len(payload)

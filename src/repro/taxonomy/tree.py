@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.util import hotpath
-
 
 class TaxonomyError(Exception):
     """Malformed taxonomy operation (unknown node, duplicate, cycle...)."""
@@ -127,7 +125,7 @@ class TaxonomyTree:
         raise TaxonomyError("tree is disconnected")  # unreachable by construction
 
     def path_length_uncached(self, a: str, b: str) -> int:
-        """Reference path computation: walk both ancestor chains per call."""
+        """Path length without the memo: walk both ancestor chains per call."""
         lca = self.lowest_common_ancestor(a, b)
         return (self._depth[a] - self._depth[lca]) + (self._depth[b] - self._depth[lca])
 
@@ -138,8 +136,6 @@ class TaxonomyTree:
         every LCH-similarity consumer shares — and invalidated whenever
         the tree grows.
         """
-        if hotpath._REFERENCE:
-            return self.path_length_uncached(a, b)
         key = (a, b) if a <= b else (b, a)
         cached = self._path_cache.get(key)
         if cached is None:

@@ -6,9 +6,7 @@ on them without import cycles.
 
 from repro.util.rng import RngFactory, zipf_weights, weighted_choice
 from repro.util.simclock import SimClock
-from repro.util import hotpath
 from repro.util.hashing import anonymize_ip, stable_hash
-from repro.util.hotpath import reference_hotpaths, reference_mode, set_reference_mode
 from repro.util.stats import (
     median,
     percentile,
@@ -18,10 +16,6 @@ from repro.util.stats import (
 )
 
 __all__ = [
-    "hotpath",
-    "reference_hotpaths",
-    "reference_mode",
-    "set_reference_mode",
     "RngFactory",
     "zipf_weights",
     "weighted_choice",

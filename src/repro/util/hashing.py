@@ -12,15 +12,12 @@ prefixes — the ``(seed, scope)`` pair of a shard's trace ids, the salt of
 an anonymisation pass — are interned as partially-fed SHA-256 states:
 one :meth:`~hashlib._Hash.copy` plus the suffix update replaces the full
 join + hash per call.  SHA-256 state copying is exact, so the digests are
-byte-identical to the reference single-shot computation; the equivalence
-tests pin that.
+byte-identical to the single-shot computation; the tests pin that.
 """
 
 from __future__ import annotations
 
 import hashlib
-
-from repro.util import hotpath
 
 #: Bound on each intern table; reached only by pathological workloads
 #: (the shard scopes and salts of one experiment number in the dozens),
@@ -32,7 +29,7 @@ _SALT_STATES: dict[str, "hashlib._Hash"] = {}
 
 
 def stable_hash_reference(*parts: str, bits: int = 64) -> int:
-    """Reference single-shot implementation of :func:`stable_hash`."""
+    """Single-shot :func:`stable_hash` (the path for one-part hashes)."""
     if bits <= 0 or bits > 256 or bits % 8 != 0:
         raise ValueError("bits must be a positive multiple of 8, at most 256")
     joined = "\x1f".join(parts)
@@ -52,7 +49,7 @@ def stable_hash(*parts: str, bits: int = 64) -> int:
     the prefix; UTF-8 is concatenative, so feeding the suffix into a copy
     of that state yields the identical digest.
     """
-    if hotpath._REFERENCE or len(parts) < 2:
+    if len(parts) < 2:
         return stable_hash_reference(*parts, bits=bits)
     if bits <= 0 or bits > 256 or bits % 8 != 0:
         raise ValueError("bits must be a positive multiple of 8, at most 256")
@@ -69,14 +66,6 @@ def stable_hash(*parts: str, bits: int = 64) -> int:
     return int.from_bytes(hasher.digest()[: bits // 8], "big")
 
 
-def anonymize_ip_reference(ip: str, salt: str = "") -> str:
-    """Reference single-shot implementation of :func:`anonymize_ip`."""
-    if not ip:
-        raise ValueError("ip must be non-empty")
-    digest = hashlib.sha256(f"{salt}|{ip}".encode("utf-8")).hexdigest()
-    return digest[:16]
-
-
 def anonymize_ip(ip: str, salt: str = "") -> str:
     """One-way anonymisation of an IP address.
 
@@ -88,8 +77,6 @@ def anonymize_ip(ip: str, salt: str = "") -> str:
     ``{salt}|`` prefix is interned as a partially-fed hasher state and only
     the address bytes are fed per call.
     """
-    if hotpath._REFERENCE:
-        return anonymize_ip_reference(ip, salt=salt)
     if not ip:
         raise ValueError("ip must be non-empty")
     state = _SALT_STATES.get(salt)

@@ -1,8 +1,8 @@
 """Reference-vs-optimized equivalence for the targeting hot paths.
 
 The optimized ``MatchEngine`` answers contextual and behavioural
-questions via taxonomy-neighbourhood intersections; the retained
-reference implementations run the original LCH-style nested path-length
+questions via taxonomy-neighbourhood intersections; the reference
+implementations below run the original LCH-style nested path-length
 loops.  Every (campaign, publisher/interest) verdict must be identical.
 """
 
@@ -23,6 +23,38 @@ KEYWORD_POOL = ["Football", "tennis", "recipes", "laptops", "sneakers",
 @pytest.fixture(scope="module")
 def lexicon():
     return build_default_lexicon()
+
+
+def _contextual_reference(engine: MatchEngine, campaign: CampaignSpec,
+                          publisher) -> bool:
+    """Nested-loop page classifier: every topic pair's path length."""
+    if any(publisher.matches_keyword(keyword)
+           for keyword in campaign.keywords):
+        return True
+    for campaign_topic in engine.campaign_topics(campaign):
+        for publisher_topic in publisher.topics:
+            if engine.tree.path_length_uncached(
+                    campaign_topic,
+                    publisher_topic) <= engine.vertical_radius_edges:
+                return True
+    return False
+
+
+def _behavioural_match_reference(engine: MatchEngine, campaign: CampaignSpec,
+                                 interests: tuple[str, ...]) -> bool:
+    """Nested-loop profile matcher: an interest on or one edge from a
+    campaign topic trips the behavioural signal."""
+    campaign_topics = engine.campaign_topics(campaign)
+    if not campaign_topics or not interests:
+        return False
+    interest_set = set(interests)
+    for topic in campaign_topics:
+        if topic in interest_set:
+            return True
+        for interest in interest_set:
+            if engine.tree.path_length_uncached(topic, interest) <= 1:
+                return True
+    return False
 
 
 def _campaigns(lexicon):
@@ -59,7 +91,7 @@ def test_contextual_match_equals_reference(lexicon, radius):
     for campaign, publisher in itertools.product(_campaigns(lexicon),
                                                  _publishers(lexicon)):
         optimized = engine.contextual_match(campaign, publisher)
-        reference = engine._contextual_reference(campaign, publisher)
+        reference = _contextual_reference(engine, campaign, publisher)
         assert optimized == reference, \
             (campaign.keywords, publisher.topics, publisher.keywords, radius)
 
@@ -73,5 +105,6 @@ def test_behavioural_match_equals_reference(lexicon):
     for campaign, interests in itertools.product(_campaigns(lexicon),
                                                  interest_sets):
         optimized = engine.behavioural_match(campaign, interests)
-        reference = engine.behavioural_match_reference(campaign, interests)
+        reference = _behavioural_match_reference(engine, campaign,
+                                                 interests)
         assert optimized == reference, (campaign.keywords, interests)

@@ -3,8 +3,11 @@
 The collector's hot path skips the urllib codec when a value contains no
 reserved characters and decodes canonical ``EVT`` messages with a single
 partition.  Every observable behaviour — encoded bytes, parsed values,
-and error type/message — must be identical to the reference path.
+and error type/message — must be identical to plain ``urllib.parse``
+and to the generic parser.
 """
+
+import urllib.parse
 
 import pytest
 
@@ -13,17 +16,15 @@ from repro.beacon.events import (
     InteractionEvent,
     InteractionKind,
 )
+from repro.collector import payload
 from repro.collector.payload import (
     PayloadError,
     _quote,
-    _quote_reference,
     _unquote,
-    _unquote_reference,
     encode_hello,
     encode_interaction,
     parse_message,
 )
-from repro.util import hotpath
 
 TRICKY_VALUES = [
     "",
@@ -47,11 +48,11 @@ TRICKY_VALUES = [
 class TestQuoteUnquoteEquivalence:
     @pytest.mark.parametrize("value", TRICKY_VALUES)
     def test_quote_matches_reference(self, value):
-        assert _quote(value) == _quote_reference(value)
+        assert _quote(value) == urllib.parse.quote(value, safe="")
 
     @pytest.mark.parametrize("value", TRICKY_VALUES)
     def test_unquote_matches_reference(self, value):
-        assert _unquote(value) == _unquote_reference(value)
+        assert _unquote(value) == urllib.parse.unquote(value)
 
     @pytest.mark.parametrize("value", TRICKY_VALUES)
     def test_roundtrip_through_fast_paths(self, value):
@@ -64,17 +65,28 @@ class TestQuoteUnquoteEquivalence:
 
 
 class TestEncodeEquivalence:
-    def test_hello_wire_identical_between_modes(self):
+    def test_hello_wire_identical_between_modes(self, monkeypatch):
         observation = BeaconObservation(
             campaign_id="Football-010", creative_id="Football-010-creative",
             page_url="http://futbol9.es/page/3?ref=a&b=c",
             user_agent="Mozilla/5.0 (X11; Linux x86_64) Chrome/50",
             interactions=(), exposure_seconds=2.0, pixels_in_view=True)
         optimized = encode_hello(observation)
-        with hotpath.reference_hotpaths():
-            reference = encode_hello(observation)
+        parsed = parse_message(optimized)
+        monkeypatch.setattr(payload, "_quote",
+                            lambda value: urllib.parse.quote(value, safe=""))
+        monkeypatch.setattr(payload, "_unquote", urllib.parse.unquote)
+        reference = encode_hello(observation)
         assert optimized == reference
-        assert parse_message(optimized) == parse_message(reference)
+        assert parsed == parse_message(reference)
+
+
+def _parse_generic(raw, monkeypatch):
+    """Parse *raw* with the EVT fast path declined, as for any
+    non-canonical message."""
+    with monkeypatch.context() as patch:
+        patch.setattr(payload, "_parse_evt_fast", lambda raw: None)
+        return parse_message(raw)
 
 
 class TestEvtFastPath:
@@ -83,11 +95,8 @@ class TestEvtFastPath:
         "EVT|kind=mousemove|t=0.000",
         "EVT|kind=mousemove|t=86400.125",
     ])
-    def test_canonical_messages_parse_identically(self, raw):
-        optimized = parse_message(raw)
-        with hotpath.reference_hotpaths():
-            reference = parse_message(raw)
-        assert optimized == reference
+    def test_canonical_messages_parse_identically(self, raw, monkeypatch):
+        assert parse_message(raw) == _parse_generic(raw, monkeypatch)
 
     @pytest.mark.parametrize("raw", [
         "EVT|kind=click",                       # missing timestamp
@@ -101,12 +110,11 @@ class TestEvtFastPath:
         "EVT|kind=click|t=1.0|",                # trailing delimiter
         "EVT|kind=click|t=1.0|extra",           # malformed extra field
     ])
-    def test_error_messages_identical_to_reference(self, raw):
+    def test_error_messages_identical_to_reference(self, raw, monkeypatch):
         with pytest.raises(PayloadError) as optimized:
             parse_message(raw)
-        with hotpath.reference_hotpaths():
-            with pytest.raises(PayloadError) as reference:
-                parse_message(raw)
+        with pytest.raises(PayloadError) as reference:
+            _parse_generic(raw, monkeypatch)
         assert str(optimized.value) == str(reference.value)
 
     def test_roundtrip_with_fast_path(self):

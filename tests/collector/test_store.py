@@ -9,8 +9,6 @@ from repro.collector.store import (
     ImpressionRecord,
     ImpressionStore,
     StoreSealedError,
-    _ColumnarStore,
-    _RowStore,
 )
 
 
@@ -225,20 +223,20 @@ class TestPersistence:
             ImpressionStore.loads_jsonl(f"\n{text}\n", source="d.jsonl")
         assert str(caught.value) == f"d.jsonl:2: bad record: {message}"
 
-    @pytest.mark.parametrize("backend", [_ColumnarStore, _RowStore])
     @pytest.mark.parametrize("name, value, message", UNSTORABLE,
                              ids=UNSTORABLE_IDS)
     def test_unstorable_value_fails_located_everywhere(
-            self, tmp_path, backend, name, value, message):
-        # Both backings and both entry paths refuse the line with its
-        # location; none lets an exception from a column escape.
+            self, tmp_path, name, value, message):
+        # Both entry paths refuse the line with its location; neither
+        # lets an exception from a column escape.
         text = (json.dumps(FULL_LINE) + "\n"
                 + json.dumps({**FULL_LINE, "record_id": 2, name: value})
                 + "\n")
         path = tmp_path / "d.jsonl"
         path.write_text(text, encoding="utf-8")
-        for load in (lambda: backend.loads_jsonl(text, source=str(path)),
-                     lambda: backend.load_jsonl(path)):
+        for load in (
+                lambda: ImpressionStore.loads_jsonl(text, source=str(path)),
+                lambda: ImpressionStore.load_jsonl(path)):
             with pytest.raises(ValueError) as caught:
                 load()
             assert str(caught.value) == f"{path}:2: bad record: {message}"
@@ -246,11 +244,11 @@ class TestPersistence:
     def test_dump_writes_strict_json(self):
         # A non-finite value can only reach the columns through a raw
         # column payload; the dump refuses to write it as a bare token.
-        store = _ColumnarStore()
+        store = ImpressionStore()
         store.insert(make_record(record_id=1))
         payload = list(store.export_columns())
         payload[4] = array("d", [float("nan")])      # the timestamps
-        poisoned = _ColumnarStore()
+        poisoned = ImpressionStore()
         poisoned.absorb_columns(tuple(payload))
         with pytest.raises(ValueError, match="not JSON compliant"):
             poisoned.dumps_jsonl()

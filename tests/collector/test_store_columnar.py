@@ -1,17 +1,19 @@
-"""Columnar-vs-reference store equivalence and the raw-column surfaces.
+"""The columnar store against plain records, and its raw-column surfaces.
 
-The columnar backing is only correct if it is *indistinguishable* from
-the row-backed reference store everywhere the repo's determinism
-contract looks: JSONL bytes, query results, counters, and the raw-column
-transfer the shard merge rides on.  These tests pin that equivalence —
-property-based over generated record populations (gapped ids, enriched
-and raw records, empty stores) plus directed tests for the new mutation
-paths (``enrich_at``, ``absorb_columns``) and their sealed-store guards.
+The store is only correct if it is *indistinguishable* from the list of
+records it was filled with everywhere the repo's determinism contract
+looks: JSONL bytes, query results, counters, and the raw-column transfer
+the shard merge rides on.  These tests pin that — property-based over
+generated record populations (gapped ids, enriched and raw records,
+empty stores), with the expected answers computed from the inserted
+records — plus directed tests for the mutation paths (``enrich_at``,
+``absorb_columns``) and their sealed-store guards.
 """
 
 import gc
 import json
 import tracemalloc
+from dataclasses import asdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,12 +24,8 @@ from repro.collector.store import (
     ImpressionRecord,
     ImpressionStore,
     StoreSealedError,
-    _ColumnarStore,
-    _RowStore,
 )
 from repro.obs.metrics import MetricsRegistry
-
-BACKENDS = (_ColumnarStore, _RowStore)
 
 domains = st.sampled_from(["news.example", "blog.example", "video.example"])
 campaign_ids = st.sampled_from(["c-sports", "c-travel", "c-tech"])
@@ -77,46 +75,76 @@ def build_record(record_id, fields, enrichment):
 
 
 def fill(store, population):
+    """Insert *population* into *store*; return the records inserted."""
+    records = []
     for fields, enrichment in population:
-        store.insert(build_record(store.next_record_id(), fields,
-                                  enrichment))
-    return store
+        record = build_record(store.next_record_id(), fields, enrichment)
+        store.insert(record)
+        records.append(record)
+    return records
+
+
+#: Every field ``select`` accepts: the record fields plus the derived ones.
+RECORD_FIELDS = tuple(ImpressionRecord.__dataclass_fields__)
+SELECT_FIELDS = RECORD_FIELDS + ("domain", "user_key", "identity")
+
+#: The oracles read derived fields off records.
+DERIVED = {
+    "domain": lambda record: record.domain,
+    "user_key": lambda record: record.user_key,
+    "identity": lambda record: record.ip_token or record.ip,
+}
+
+
+def project(records, fields):
+    """``select`` computed from records, one field at a time."""
+    return [tuple(DERIVED[name](record) if name in DERIVED
+                  else getattr(record, name) for name in fields)
+            for record in records]
+
+
+def group_by_user(records):
+    grouped = {}
+    for record in records:
+        grouped.setdefault(record.user_key, []).append(record)
+    return grouped
 
 
 class TestBackendEquivalence:
+    """The store against the list of records it was filled with."""
+
     @given(populations)
     @settings(max_examples=60, deadline=None)
     def test_dumps_jsonl_byte_identical(self, population):
-        columnar = fill(_ColumnarStore(), population)
-        reference = fill(_RowStore(), population)
-        assert columnar.dumps_jsonl() == reference.dumps_jsonl()
+        store = ImpressionStore()
+        records = fill(store, population)
+        assert store.dumps_jsonl() == "".join(
+            json.dumps(asdict(record), sort_keys=True, allow_nan=False)
+            + "\n" for record in records)
 
     @given(populations)
     @settings(max_examples=40, deadline=None)
     def test_queries_agree(self, population):
-        columnar = fill(_ColumnarStore(), population)
-        reference = fill(_RowStore(), population)
-        assert columnar.campaigns() == reference.campaigns()
-        assert columnar.distinct_domains() == reference.distinct_domains()
-        for campaign_id in reference.campaigns() + ["c-unknown"]:
-            assert columnar.by_campaign(campaign_id) \
-                == reference.by_campaign(campaign_id)
-            assert columnar.count_for(campaign_id) \
-                == reference.count_for(campaign_id)
-            assert columnar.distinct_domains(campaign_id) \
-                == reference.distinct_domains(campaign_id)
-        assert columnar.by_user() == reference.by_user()
-        # ... and identically once sealed (indexes replace the scans).
-        columnar.seal()
-        assert columnar.campaigns() == reference.campaigns()
-        assert columnar.by_user() == reference.by_user()
-        for campaign_id in reference.campaigns() + ["c-unknown"]:
-            assert columnar.by_campaign(campaign_id) \
-                == reference.by_campaign(campaign_id)
-            assert columnar.distinct_domains(campaign_id) \
-                == reference.distinct_domains(campaign_id)
-            assert columnar.by_user(campaign_id) \
-                == reference.by_user(campaign_id)
+        store = ImpressionStore()
+        records = fill(store, population)
+        campaigns = list(dict.fromkeys(
+            record.campaign_id for record in records))
+        # Scans before sealing, the seal-time indexes after.
+        for sealed in (False, True):
+            if sealed:
+                store.seal()
+            assert store.campaigns() == campaigns, sealed
+            assert store.distinct_domains() \
+                == {record.domain for record in records}, sealed
+            assert store.by_user() == group_by_user(records), sealed
+            for campaign_id in campaigns + ["c-unknown"]:
+                expected = [record for record in records
+                            if record.campaign_id == campaign_id]
+                assert store.by_campaign(campaign_id) == expected
+                assert store.count_for(campaign_id) == len(expected)
+                assert store.distinct_domains(campaign_id) \
+                    == {record.domain for record in expected}
+                assert store.by_user(campaign_id) == group_by_user(expected)
 
     @given(populations)
     @settings(max_examples=40, deadline=None)
@@ -125,71 +153,53 @@ class TestBackendEquivalence:
                   "identity", "exposure_seconds", "truncated",
                   "pixels_in_view", "global_rank", "is_datacenter",
                   "clicks", "timestamp", "dc_stage")
-        columnar = fill(_ColumnarStore(), population)
-        reference = fill(_RowStore(), population)
-        assert columnar.select(None, *fields) \
-            == reference.select(None, *fields)
-        for campaign_id in reference.campaigns():
-            assert columnar.select(campaign_id, *fields) \
-                == reference.select(campaign_id, *fields)
+        store = ImpressionStore()
+        records = fill(store, population)
+        assert store.select(None, *fields) == project(records, fields)
+        for campaign_id in store.campaigns():
+            assert store.select(campaign_id, *fields) == project(
+                [record for record in records
+                 if record.campaign_id == campaign_id], fields)
 
     @given(populations)
     @settings(max_examples=40, deadline=None)
     def test_column_payload_crosses_backends(self, population):
-        # A payload exported by either backend absorbs into either
-        # backend, and every combination serialises identically.
-        dumps = []
-        for exporter in BACKENDS:
-            payload = fill(exporter(), population).export_columns()
-            for absorber in BACKENDS:
-                target = absorber()
-                target.absorb_columns(payload)
-                dumps.append(target.dumps_jsonl())
-        assert len(set(dumps)) == 1
+        # An exported payload absorbs into a fresh store as the same rows.
+        source = ImpressionStore()
+        records = fill(source, population)
+        target = ImpressionStore()
+        assert target.absorb_columns(source.export_columns()) == len(records)
+        assert list(target) == records
+        assert target.dumps_jsonl() == source.dumps_jsonl()
 
     @given(populations)
     @settings(max_examples=30, deadline=None)
     def test_jsonl_round_trip_with_gapped_ids(self, population):
-
-        for backend in BACKENDS:
-            store = fill(backend(), population)
-            # Keep every third record: ids become non-contiguous.
-            kept = [line for index, line
-                    in enumerate(store.dumps_jsonl().splitlines())
-                    if index % 3 == 0]
-            text = "".join(line + "\n" for line in kept)
-            loaded = backend.loads_jsonl(text)
-            assert loaded.dumps_jsonl() == text
-            assert [record.record_id for record in loaded] \
-                == [json.loads(line)["record_id"] for line in kept]
+        store = ImpressionStore()
+        fill(store, population)
+        # Keep every third record: ids become non-contiguous.
+        kept = [line for index, line
+                in enumerate(store.dumps_jsonl().splitlines())
+                if index % 3 == 0]
+        text = "".join(line + "\n" for line in kept)
+        loaded = ImpressionStore.loads_jsonl(text)
+        assert loaded.dumps_jsonl() == text
+        assert [record.record_id for record in loaded] \
+            == [json.loads(line)["record_id"] for line in kept]
 
 
 class TestSelectValidation:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unknown_field_rejected(self, backend):
-        store = backend()
+    def test_unknown_field_rejected(self):
+        store = ImpressionStore()
         with pytest.raises(ValueError, match="unknown select field"):
             store.select(None, "no_such_column")
 
 
-#: Every field ``select`` accepts: the record fields plus the derived ones.
-RECORD_FIELDS = tuple(ImpressionRecord.__dataclass_fields__)
-SELECT_FIELDS = RECORD_FIELDS + ("domain", "user_key", "identity")
-
-#: The oracle reads derived fields off record views.
-DERIVED = {
-    "domain": lambda record: record.domain,
-    "user_key": lambda record: record.user_key,
-    "identity": lambda record: record.ip_token or record.ip,
-}
-
-
 def oracle_select(store, campaign_id, fields):
+    """``select`` computed from the rows read back as record views."""
     records = list(store) if campaign_id is None \
         else store.by_campaign(campaign_id)
-    return [tuple(DERIVED[name](record) if name in DERIVED
-                  else getattr(record, name) for name in fields)
-            for record in records]
+    return project(records, fields)
 
 
 field_lists = (st.lists(st.sampled_from(SELECT_FIELDS), max_size=8)
@@ -202,7 +212,8 @@ class TestSelectOracle:
     @given(populations, field_lists)
     @settings(max_examples=60, deadline=None)
     def test_select_matches_record_views(self, population, fields):
-        store = fill(ImpressionStore(), population)
+        store = ImpressionStore()
+        fill(store, population)
         for sealed in (False, True):
             if sealed:
                 store.seal()
@@ -214,7 +225,8 @@ class TestSelectOracle:
     @given(populations)
     @settings(max_examples=20, deadline=None)
     def test_zero_fields_give_one_empty_tuple_per_row(self, population):
-        store = fill(ImpressionStore(), population)
+        store = ImpressionStore()
+        fill(store, population)
         assert store.select(None) == [()] * len(store)
         for campaign_id in store.campaigns():
             assert store.select(campaign_id) \
@@ -239,9 +251,8 @@ def make_record(record_id, campaign="c-sports", **overrides):
 
 
 class TestSealedMutation:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_all_write_paths_raise_once_sealed(self, backend):
-        store = backend()
+    def test_all_write_paths_raise_once_sealed(self):
+        store = ImpressionStore()
         store.insert(make_record(1))
         payload = store.export_columns()
         store.seal()
@@ -258,9 +269,8 @@ class TestSealedMutation:
                             global_rank=None, is_datacenter=False,
                             dc_stage="")
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_enrich_at_writes_columns_in_place(self, backend):
-        store = backend()
+    def test_enrich_at_writes_columns_in_place(self):
+        store = ImpressionStore()
         store.insert(make_record(1))
         store.enrich_at(0, ip_token="tok-1234", provider="ISP",
                         country="ES", global_rank=42, is_datacenter=True,
@@ -287,20 +297,18 @@ class _SpyTracer:
 
 
 class TestCounterAccounting:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_loads_jsonl_counts_appends(self, backend):
+    def test_loads_jsonl_counts_appends(self):
         # Regression: loads_jsonl used to bypass the appends counter, so
         # a loaded store reported 0 appends no matter its size.
-        source = backend()
+        source = ImpressionStore()
         for record_id in (1, 2, 3):
             source.insert(make_record(record_id))
-        loaded = backend.loads_jsonl(source.dumps_jsonl())
+        loaded = ImpressionStore.loads_jsonl(source.dumps_jsonl())
         assert loaded._appends.value == 3
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_extend_reindexed_counts_batch(self, backend):
+    def test_extend_reindexed_counts_batch(self):
         tracer = _SpyTracer()
-        store = backend(metrics=MetricsRegistry(), tracer=tracer)
+        store = ImpressionStore(metrics=MetricsRegistry(), tracer=tracer)
         added = store.extend_reindexed(
             [make_record(7), make_record(9)])
         assert added == 2
@@ -314,37 +322,34 @@ class TestCounterAccounting:
         assert attrs["first_record"] == 1
         assert attrs["last_record"] == 2
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_absorb_columns_emits_one_extend_event(self, backend):
-        source = backend()
+    def test_absorb_columns_emits_one_extend_event(self):
+        source = ImpressionStore()
         source.insert(make_record(1))
         source.insert(make_record(2))
         tracer = _SpyTracer()
-        store = backend(metrics=MetricsRegistry(), tracer=tracer)
+        store = ImpressionStore(metrics=MetricsRegistry(), tracer=tracer)
         store.absorb_columns(source.export_columns())
         assert [name for name, _ in tracer.events] == ["store.extend"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_insert_still_emits_per_record_commit(self, backend):
+    def test_insert_still_emits_per_record_commit(self):
         # The per-record store.commit stream feeds the trace exports on
         # the shard path; bulk accounting must not change it.
         tracer = _SpyTracer()
-        store = backend(metrics=MetricsRegistry(), tracer=tracer)
+        store = ImpressionStore(metrics=MetricsRegistry(), tracer=tracer)
         store.insert(make_record(1))
         assert [name for name, _ in tracer.events] == ["store.commit"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_absorb_columns_matches_extend_reindexed(self, backend):
-        payload_source = backend()
+    def test_absorb_columns_matches_extend_reindexed(self):
+        payload_source = ImpressionStore()
         payload_source.insert(make_record(1, campaign="c-travel"))
         payload_source.insert(make_record(2, clicks=2))
         payload = payload_source.export_columns()
 
-        absorbed = backend()
+        absorbed = ImpressionStore()
         absorbed.insert(make_record(1))
         assert absorbed.absorb_columns(payload) == 2
 
-        extended = backend()
+        extended = ImpressionStore()
         extended.insert(make_record(1))
         extended.extend_reindexed(list(payload_source))
 
@@ -352,25 +357,23 @@ class TestCounterAccounting:
         assert absorbed.next_record_id() == extended.next_record_id() == 4
         assert absorbed._appends.value == 3
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_absorb_rejects_malformed_payloads(self, backend):
-        store = backend()
+    def test_absorb_rejects_malformed_payloads(self):
+        store = ImpressionStore()
         with pytest.raises(ValueError, match="malformed"):
             store.absorb_columns(("nope",))
-        good = backend().export_columns()
+        good = ImpressionStore().export_columns()
         with pytest.raises(ValueError, match="version"):
             store.absorb_columns((99,) + good[1:])
 
 
 class TestEmptyStore:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_round_trips(self, backend):
-        store = backend()
+    def test_empty_round_trips(self):
+        store = ImpressionStore()
         assert store.dumps_jsonl() == ""
-        loaded = backend.loads_jsonl("")
+        loaded = ImpressionStore.loads_jsonl("")
         assert len(loaded) == 0
         assert loaded.next_record_id() == 1
-        other = backend()
+        other = ImpressionStore()
         assert other.absorb_columns(store.export_columns()) == 0
         assert other._appends.value == 0
 
@@ -426,14 +429,14 @@ def outcome(build):
         return type(exc).__name__, str(exc)
 
 
-def constructor_load(backend, line):
+def constructor_load(line):
     """The oracle: the record constructor fed the decoded line, the
     record inserted into a fresh store, the store dumped."""
     try:
         record = ImpressionRecord(**json.loads(line))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"<string>:1: bad record: {exc}") from exc
-    store = backend()
+    store = ImpressionStore()
     store._next_id = record.record_id
     store.insert(record)
     return store.dumps_jsonl()
@@ -442,24 +445,22 @@ def constructor_load(backend, line):
 class TestLoadPathOracle:
     """``loads_jsonl`` against the record constructor, line by line."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(base=st.sampled_from(CANONICAL_LINES),
            edits=st.lists(perturbations, max_size=3))
     @settings(max_examples=300, deadline=None)
-    def test_load_matches_constructor(self, backend, base, edits):
+    def test_load_matches_constructor(self, base, edits):
         line = perturbed_line(base, edits)
-        assert outcome(lambda: backend.loads_jsonl(line).dumps_jsonl()) \
-            == outcome(lambda: constructor_load(backend, line)), line
+        assert outcome(lambda: ImpressionStore.loads_jsonl(line).dumps_jsonl()) \
+            == outcome(lambda: constructor_load(line)), line
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_every_single_value_swap_matches_constructor(self, backend):
+    def test_every_single_value_swap_matches_constructor(self):
         for base in CANONICAL_LINES:
             for name in RECORD_FIELDS:
                 for value in PERTURBED_VALUES:
                     line = perturbed_line(base, [("set", name, value)])
                     assert outcome(
-                        lambda: backend.loads_jsonl(line).dumps_jsonl()) \
-                        == outcome(lambda: constructor_load(backend, line)), \
+                        lambda: ImpressionStore.loads_jsonl(line).dumps_jsonl()) \
+                        == outcome(lambda: constructor_load(line)), \
                         line
 
     def test_canonical_bases_take_the_direct_path(self, monkeypatch):
@@ -467,7 +468,7 @@ class TestLoadPathOracle:
         built = counting_record_builds(monkeypatch)
         for base in CANONICAL_LINES:
             line = json.dumps(base, sort_keys=True)
-            assert _ColumnarStore.loads_jsonl(line).dumps_jsonl() \
+            assert ImpressionStore.loads_jsonl(line).dumps_jsonl() \
                 == line + "\n"
         assert built == []
 
@@ -491,15 +492,15 @@ def test_dump_loads_without_building_records(small_result, monkeypatch):
     # back through the record constructor.
     text = small_result.dataset.store.dumps_jsonl()
     built = counting_record_builds(monkeypatch)
-    loaded = _ColumnarStore.loads_jsonl(text)
+    loaded = ImpressionStore.loads_jsonl(text)
     assert built == []
     assert len(loaded) > 0
     assert loaded.dumps_jsonl() == text
 
 
 def test_sealed_store_memory_budget(small_result):
-    # A loaded and sealed columnar store holds about 340-360 B of Python
-    # heap per record; the row backing holds about 1,000.  The budget
+    # A loaded and sealed store holds about 340-360 B of Python heap per
+    # record; a list of record dataclasses holds about 1,000.  The budget
     # catches a layout regression, not allocator noise.
     text = small_result.dataset.store.dumps_jsonl()
     gc.collect()

@@ -9,7 +9,6 @@ from repro.net.useragent import (
     parse_user_agent,
     parse_user_agent_uncached,
 )
-from repro.util import hotpath
 
 
 class TestGenerate:
@@ -102,10 +101,3 @@ class TestParseCache:
         for _ in range(50):
             raw = generate_user_agent(rng)
             assert parse_user_agent(raw) == parse_user_agent_uncached(raw)
-
-    def test_reference_mode_bypasses_cache(self):
-        parse_user_agent.cache_clear()
-        with hotpath.reference_hotpaths():
-            parsed = parse_user_agent("curl/7.58.0")
-        assert parsed.browser == "unknown"
-        assert parse_user_agent.cache_info().currsize == 0

@@ -1,10 +1,12 @@
-"""Golden digests of the trace exports.
+"""Golden digests of the trace exports and the sim-domain metrics.
 
 The serial-vs-``--jobs`` trace tests compare two runs of the same code,
 so a change that moves both sides alike passes them.  These pin the
-bytes themselves: SHA-256 of the JSONL and Chrome exports and of one
-``explain`` receipt, for seed 2016 at the scale of the shared
-``small_result`` experiment (0.03).
+bytes themselves: SHA-256 of the JSONL and Chrome exports, of one
+``explain`` receipt and of the sim-domain metrics snapshot
+(``metrics.restrict(SIM).to_json()``, which no benchmark digest covers),
+for seed 2016 at the scale of the shared ``small_result`` experiment
+(0.03).
 
 Digests are keyed by CPython minor version (float formatting and dict
 ordering are stable within one); a version with no entry skips.  After
@@ -19,6 +21,7 @@ import sys
 
 import pytest
 
+from repro.obs.metrics import SIM
 from repro.obs.traceio import (
     AuditVerdict,
     dumps_chrome_trace,
@@ -34,6 +37,8 @@ GOLDEN = {
             "5ac3be8f47c49a1b69dd3382c1122b3bd0dd8dc6fdf07c8fb5a3a5d164381047",
         "explain":
             "a0f8bae4a49c7089e93fe869c983c57c38ace500d33853e56980d5afac0bcf42",
+        "sim_metrics":
+            "0c93852d534b9048781f51e9fb6daca1e229608e26b9cb1b2dddbd1b70450f26",
     },
 }
 
@@ -54,6 +59,7 @@ EXPORTS = {
     "chrome_trace":
         lambda result: dumps_chrome_trace(result.recorder.traces()),
     "explain": _receipt,
+    "sim_metrics": lambda result: result.metrics.restrict(SIM).to_json(),
 }
 
 

@@ -3,7 +3,7 @@
 ``path_length``/``nodes_within``/``max_depth`` carry tree-level memos
 that every similarity consumer (the matching engine, the context audit,
 LCH scoring) shares.  These tests pin the memoised answers to the
-uncached reference walks and the invalidation-on-growth contract.
+uncached walks and the invalidation-on-growth contract.
 """
 
 import itertools
@@ -12,7 +12,6 @@ import pytest
 
 from repro.taxonomy.lexicon import build_default_lexicon
 from repro.taxonomy.tree import TaxonomyError, TaxonomyTree
-from repro.util import hotpath
 
 
 @pytest.fixture
@@ -33,11 +32,6 @@ class TestPathLengthMemo:
         assert tree.path_length("la-liga", "recipes") == \
             tree.path_length("recipes", "la-liga")
         assert len(tree._path_cache) == 1
-
-    def test_reference_mode_bypasses_memo(self, tree):
-        with hotpath.reference_hotpaths():
-            assert tree.path_length("football", "tennis") == 2
-        assert not tree._path_cache
 
     def test_invalidated_on_add(self, tree):
         tree.path_length("football", "tennis")

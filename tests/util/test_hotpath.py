@@ -1,50 +1,29 @@
-"""Tests for the reference-mode switch and the hashing hot paths.
+"""Equivalence tests for the hashing hot paths.
 
-``repro.util.hotpath`` is the single switch every optimized hot path
-dispatches on; these tests pin its semantics, then pin the optimized
-hashing implementations (interned SHA-256 prefix states) to their
-single-shot reference counterparts.
+The optimized hashing implementations (interned SHA-256 prefix states)
+are pinned to single-shot computations on the same inputs:
+``stable_hash_reference`` (also the production path for one-part
+hashes) and ``anonymize_ip_reference`` below.
 """
+
+import hashlib
 
 import pytest
 
-from repro.util import hotpath
 from repro.util import hashing
 from repro.util.hashing import (
     anonymize_ip,
-    anonymize_ip_reference,
     stable_hash,
     stable_hash_reference,
 )
 
 
-class TestHotpathSwitch:
-    def test_default_is_optimized(self):
-        assert hotpath.reference_mode() is False
-
-    def test_set_returns_previous(self):
-        previous = hotpath.set_reference_mode(True)
-        try:
-            assert previous is False
-            assert hotpath.reference_mode() is True
-            assert hotpath.set_reference_mode(False) is True
-        finally:
-            hotpath.set_reference_mode(False)
-
-    def test_context_manager_restores(self):
-        assert not hotpath.reference_mode()
-        with hotpath.reference_hotpaths():
-            assert hotpath.reference_mode()
-            with hotpath.reference_hotpaths(False):
-                assert not hotpath.reference_mode()
-            assert hotpath.reference_mode()
-        assert not hotpath.reference_mode()
-
-    def test_context_manager_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with hotpath.reference_hotpaths():
-                raise RuntimeError("boom")
-        assert not hotpath.reference_mode()
+def anonymize_ip_reference(ip: str, salt: str = "") -> str:
+    """Single-shot :func:`anonymize_ip`: hash ``{salt}|{ip}`` whole."""
+    if not ip:
+        raise ValueError("ip must be non-empty")
+    digest = hashlib.sha256(f"{salt}|{ip}".encode("utf-8")).hexdigest()
+    return digest[:16]
 
 
 class TestStableHashEquivalence:
@@ -78,11 +57,6 @@ class TestStableHashEquivalence:
             stable_hash("a", "b", bits=bits)
         with pytest.raises(ValueError):
             stable_hash_reference("a", "b", bits=bits)
-
-    def test_reference_mode_matches(self):
-        with hotpath.reference_hotpaths():
-            assert stable_hash("a", "b", "c") == \
-                stable_hash_reference("a", "b", "c")
 
     def test_prefix_table_clears_on_overflow(self, monkeypatch):
         monkeypatch.setattr(hashing, "_MAX_INTERNED", 8)
