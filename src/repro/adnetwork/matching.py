@@ -58,6 +58,14 @@ class MatchDecision:
         return self.reason in (MatchReason.CONTEXTUAL, MatchReason.BEHAVIOURAL)
 
 
+#: The four verdicts :meth:`MatchEngine.decide` returns.
+CONTEXTUAL_MATCH = MatchDecision(eligible=True, reason=MatchReason.CONTEXTUAL)
+BEHAVIOURAL_MATCH = MatchDecision(eligible=True,
+                                  reason=MatchReason.BEHAVIOURAL)
+BROAD_MATCH = MatchDecision(eligible=True, reason=MatchReason.BROAD)
+NO_MATCH = MatchDecision(eligible=False, reason=MatchReason.NONE)
+
+
 class MatchEngine:
     """Eligibility decisions for every (campaign, pageview) pair.
 
@@ -145,10 +153,9 @@ class MatchEngine:
 
         An interest matches when it is a campaign topic or one taxonomy
         edge away from one, i.e. exactly when it falls in the campaign's
-        radius-1 neighbourhood — a single set intersection per call.
+        radius-1 neighbourhood (empty without campaign topics) — a single
+        set intersection per call.
         """
-        if not interests or not self.campaign_topics(campaign):
-            return False
         return not self._campaign_neighborhood(campaign, 1).isdisjoint(interests)
 
     def decide(self, campaign: CampaignSpec, publisher: Publisher,
@@ -159,14 +166,15 @@ class MatchEngine:
         *broad_rate* overrides the engine default; the ad server raises it
         dynamically when a campaign is underdelivering against its budget
         (run-of-network expansion) — which is how keyword campaigns with
-        almost no matching inventory still manage to spend.
+        almost no matching inventory still manage to spend.  Returns one
+        of the four module-level decision constants.
         """
         if campaign.keywords and self.contextual_match(campaign, publisher):
-            return MatchDecision(eligible=True, reason=MatchReason.CONTEXTUAL)
+            return CONTEXTUAL_MATCH
         if self.behavioural_match(campaign, interests) \
                 and rng.random() < self.behavioural_rate:
-            return MatchDecision(eligible=True, reason=MatchReason.BEHAVIOURAL)
+            return BEHAVIOURAL_MATCH
         rate = self.broad_match_rate if broad_rate is None else broad_rate
         if rng.random() < rate:
-            return MatchDecision(eligible=True, reason=MatchReason.BROAD)
-        return MatchDecision(eligible=False, reason=MatchReason.NONE)
+            return BROAD_MATCH
+        return NO_MATCH

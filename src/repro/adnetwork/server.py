@@ -11,6 +11,7 @@ model.  Emits :class:`DeliveredImpression` ground-truth records; what the
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,7 +19,8 @@ from repro.adnetwork.auction import Auction
 from repro.adnetwork.billing import BillingLedger
 from repro.adnetwork.campaign import CampaignSpec
 from repro.adnetwork.inventory import ExternalDemand, make_request
-from repro.adnetwork.matching import MatchDecision, MatchEngine
+from repro.adnetwork.matching import (BEHAVIOURAL_MATCH, CONTEXTUAL_MATCH,
+                                      MatchDecision, MatchEngine)
 from repro.adnetwork.pacing import BudgetPacer
 from repro.adnetwork.viewability import Exposure, ExposureModel
 from repro.geo.ipdb import GeoIpDatabase
@@ -111,6 +113,27 @@ class AdServer:
                                  tracer=self.tracer)
         self.billing = BillingLedger(metrics=self.metrics,
                                      tracer=self.tracer)
+        # Flight table: segment ``bisect_right(bounds, now)`` maps each
+        # country to the campaigns with ``start <= now < end`` targeting
+        # it, in campaign order, as rows ``(campaign, id, excluded
+        # domains, exclude anonymous, effective frequency cap)``.
+        self._flight_bounds = sorted(
+            {campaign.start_unix for campaign in self.campaigns}
+            | {campaign.end_unix for campaign in self.campaigns})
+        self._flights: list[dict[str, list[tuple]]] = [{}]
+        for bound in self._flight_bounds:
+            segment: dict[str, list[tuple]] = {}
+            for campaign in self.campaigns:
+                if not campaign.start_unix <= bound < campaign.end_unix:
+                    continue
+                cap = campaign.frequency_cap
+                row = (campaign, campaign.campaign_id,
+                       campaign.excluded_domains, campaign.exclude_anonymous,
+                       self.policy.default_frequency_cap if cap is None
+                       else cap)
+                for country in dict.fromkeys(campaign.target_countries):
+                    segment.setdefault(country, []).append(row)
+            self._flights.append(segment)
         self._next_impression_id = 1
         self._frequency: dict[tuple[str, str, str], int] = {}
         self._supply_matched: dict[str, int] = {}
@@ -131,18 +154,6 @@ class AdServer:
         """The network's geo call for a visitor (IP database first)."""
         country = self.ipdb.country_of(pageview.ip)
         return country if country is not None else pageview.country
-
-    def _effective_cap(self, campaign: CampaignSpec) -> Optional[int]:
-        if campaign.frequency_cap is not None:
-            return campaign.frequency_cap
-        return self.policy.default_frequency_cap
-
-    def _under_cap(self, campaign: CampaignSpec, pageview: Pageview) -> bool:
-        cap = self._effective_cap(campaign)
-        if cap is None:
-            return True
-        key = (campaign.campaign_id, pageview.ip, pageview.user_agent)
-        return self._frequency.get(key, 0) < cap
 
     def _count_delivery(self, campaign: CampaignSpec, pageview: Pageview) -> None:
         key = (campaign.campaign_id, pageview.ip, pageview.user_agent)
@@ -168,17 +179,24 @@ class AdServer:
         Football campaign with plentiful matched supply never expands, so
         its vendor report stays near-100 % contextual; a Research campaign
         with ~2 % matched supply is effectively run-of-network — exactly
-        the two regimes Table 2 shows.
+        the two regimes Table 2 shows.  Spend and supply are never
+        negative, so neither factor needs an upper clamp.
         """
         policy = self.policy
-        elapsed_days = max(0.0, (now - campaign.start_unix) / 86_400.0)
-        expected = campaign.daily_budget_eur * elapsed_days
+        campaign_id = campaign.campaign_id
+        expected = campaign.daily_budget_eur * (
+            (now - campaign.start_unix) / 86_400.0)
         if expected <= 0.0:
             return policy.broad_base_rate
-        spent = self.pacer.total_spend.get(campaign.campaign_id, 0.0)
-        pressure = min(1.0, max(0.0, (expected - spent) / expected))
-        supply = self.matched_supply(campaign.campaign_id)
-        scarcity = min(1.0, max(0.0, 1.0 - supply / policy.matched_supply_ref))
+        spent = self.pacer.total_spend.get(campaign_id, 0.0)
+        pressure = max(0.0, (expected - spent) / expected)
+        # matched_supply(), inlined: this runs once per decision.
+        examined = self._supply_examined.get(campaign_id, 0)
+        if examined < policy.min_supply_samples:
+            supply = policy.matched_supply_ref
+        else:
+            supply = self._supply_matched.get(campaign_id, 0) / examined
+        scarcity = max(0.0, 1.0 - supply / policy.matched_supply_ref)
         return (policy.broad_base_rate
                 + pressure * scarcity
                 * (policy.broad_max_rate - policy.broad_base_rate))
@@ -201,25 +219,28 @@ class AdServer:
             return None
         now = pageview.timestamp
         country = self.resolve_country(pageview)
+        rows = self._flights[bisect_right(self._flight_bounds, now)].get(
+            country)
+        if not rows:
+            return None
+        publisher = pageview.publisher
+        domain = publisher.domain.lower()
+        anonymous = publisher.is_anonymous
         candidates: list[CampaignSpec] = []
         decisions: dict[str, MatchDecision] = {}
-        for campaign in self.campaigns:
-            if not campaign.is_active(now):
+        for campaign, campaign_id, excluded, exclude_anonymous, cap in rows:
+            # CampaignSpec.excludes_publisher, then the frequency cap.
+            if (exclude_anonymous and anonymous) or domain in excluded:
                 continue
-            if not campaign.targets_country(country):
+            if cap is not None and self._frequency.get(
+                    (campaign_id, pageview.ip, pageview.user_agent), 0) >= cap:
                 continue
-            if campaign.excludes_publisher(pageview.publisher.domain,
-                                           pageview.publisher.is_anonymous):
-                continue
-            if not self._under_cap(campaign, pageview):
-                continue
-            decision = self.matcher.decide(campaign, pageview.publisher,
+            decision = self.matcher.decide(campaign, publisher,
                                            pageview.interests, rng,
                                            broad_rate=self.broad_rate(campaign, now))
-            campaign_id = campaign.campaign_id
             self._supply_examined[campaign_id] = \
                 self._supply_examined.get(campaign_id, 0) + 1
-            if decision.claimed_contextual:
+            if decision is CONTEXTUAL_MATCH or decision is BEHAVIOURAL_MATCH:
                 self._supply_matched[campaign_id] = \
                     self._supply_matched.get(campaign_id, 0) + 1
             if not decision.eligible:

@@ -246,7 +246,9 @@ class MetricsRegistry:
     handed a shared one): components call :meth:`counter` /
     :meth:`gauge` / :meth:`histogram` at construction, which create-or-
     return the named instrument — two components naming the same metric
-    share the instrument, mismatched re-registrations raise.
+    share the instrument, mismatched re-registrations raise.  A name is
+    validated when it is first registered; a lookup of an existing
+    instrument skips the check.
     """
 
     def __init__(self) -> None:
@@ -258,7 +260,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, domain: str = SIM,
                 help: str = "") -> Counter:
-        _check_name(name)
         _check_domain(domain)
         existing = self._counters.get(name)
         if existing is not None:
@@ -267,13 +268,13 @@ class MetricsRegistry:
                     f"counter {name} re-registered in domain {domain!r} "
                     f"(was {existing.domain!r})")
             return existing
+        _check_name(name)
         self._claim(name)
         instrument = Counter(name, domain=domain, help=help)
         self._counters[name] = instrument
         return instrument
 
     def gauge(self, name: str, domain: str = SIM, help: str = "") -> Gauge:
-        _check_name(name)
         _check_domain(domain)
         existing = self._gauges.get(name)
         if existing is not None:
@@ -282,6 +283,7 @@ class MetricsRegistry:
                     f"gauge {name} re-registered in domain {domain!r} "
                     f"(was {existing.domain!r})")
             return existing
+        _check_name(name)
         self._claim(name)
         instrument = Gauge(name, domain=domain, help=help)
         self._gauges[name] = instrument
@@ -289,7 +291,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, edges: Sequence[float],
                   domain: str = SIM, help: str = "") -> Histogram:
-        _check_name(name)
         _check_domain(domain)
         existing = self._histograms.get(name)
         if existing is not None:
@@ -299,6 +300,7 @@ class MetricsRegistry:
                     f"histogram {name} re-registered with different "
                     f"edges/domain")
             return existing
+        _check_name(name)
         self._claim(name)
         instrument = Histogram(name, edges, domain=domain, help=help)
         self._histograms[name] = instrument

@@ -9,8 +9,10 @@ adding draws to one stream never changes the values another stream yields.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import random
+from itertools import accumulate
 from typing import Sequence, TypeVar
 
 T = TypeVar("T")
@@ -81,25 +83,25 @@ class CumulativeSampler:
         if not weights:
             raise ValueError("weights must be non-empty")
         total = 0.0
-        self._cumulative: list[float] = []
         for weight in weights:
             if weight < 0:
                 raise ValueError("weights must be non-negative")
             total += weight
         if total <= 0:
             raise ValueError("total weight must be positive")
-        running = 0.0
-        for weight in weights:
-            running += weight / total
-            self._cumulative.append(running)
+        cumulative = list(accumulate(weight / total for weight in weights))
         # Guard against floating point drift on the last bucket.
-        self._cumulative[-1] = 1.0
+        cumulative[-1] = 1.0
+        self._cumulative = tuple(cumulative)
 
     def __len__(self) -> int:
         return len(self._cumulative)
 
+    @property
+    def cumulative(self) -> tuple[float, ...]:
+        """Normalised cumulative weights (``sample`` bisects them)."""
+        return self._cumulative
+
     def sample(self, rng: random.Random) -> int:
         """Return an index drawn with probability proportional to weight."""
-        import bisect
-
         return bisect.bisect_left(self._cumulative, rng.random())

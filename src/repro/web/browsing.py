@@ -149,7 +149,21 @@ class BrowsingSimulator:
         total = poisson(rng, device.daily_pageviews * days)
         if total == 0:
             return
-        favorites = self._pick_favorites(device, rng)
+        # What stays fixed for the stream is bound once.
+        sample_publisher = self.universe.sample_pageview_publisher
+        draw, choice, randrange = rng.random, rng.choice, rng.randrange
+        lognormvariate, uniform = rng.lognormvariate, rng.uniform
+        pick_user_agent = device.pick_user_agent
+        interests, country = device.interests, device.country
+        ip, visitor_id = device.ip, device.user_id
+        revisit_prob = config.favorite_revisit_prob
+        # The dwell median is (median * engagement) * publisher.engagement,
+        # associated left to right as the product is written.
+        dwell_median = config.human_dwell_median * device.engagement
+        dwell_sigma = config.human_dwell_sigma
+        think_min, think_max = config.think_time_min, config.think_time_max
+        favorites = [sample_publisher(rng, interests, country)
+                     for _ in range(config.favorite_count)]
         session_count = max(1, int(round(total / config.pages_per_session_mean)))
         starts = sorted(self._session_start(start, end, rng)
                         for _ in range(session_count))
@@ -159,45 +173,25 @@ class BrowsingSimulator:
             pages = base + (1 if index < extra else 0)
             now = max(now, session_start)
             for page in range(pages):
-                publisher = self._choose_publisher(device, favorites, rng)
-                dwell = self._human_dwell(device, publisher, rng)
+                if favorites and draw() < revisit_prob:
+                    publisher = choice(favorites)
+                else:
+                    publisher = sample_publisher(rng, interests, country)
+                dwell = max(0.2, lognormvariate(
+                    math.log(dwell_median * publisher.engagement), dwell_sigma))
                 yield Pageview(
                     timestamp=now,
                     publisher=publisher,
-                    url=publisher.url_for_page(rng.randrange(100_000)),
-                    ip=device.ip,
-                    user_agent=device.pick_user_agent(rng),
-                    country=device.country,
-                    interests=device.interests,
+                    url=publisher.url_for_page(randrange(100_000)),
+                    ip=ip,
+                    user_agent=pick_user_agent(rng),
+                    country=country,
+                    interests=interests,
                     dwell_seconds=dwell,
                     is_bot=False,
-                    visitor_id=device.user_id,
+                    visitor_id=visitor_id,
                 )
-                now += dwell + rng.uniform(config.think_time_min,
-                                           config.think_time_max)
-
-    def _pick_favorites(self, device: Device,
-                        rng: random.Random) -> list[Publisher]:
-        favorites: list[Publisher] = []
-        for _ in range(self.config.favorite_count):
-            favorites.append(self.universe.sample_pageview_publisher(
-                rng, interests=device.interests, country=device.country))
-        return favorites
-
-    def _choose_publisher(self, device: Device, favorites: list[Publisher],
-                          rng: random.Random) -> Publisher:
-        if favorites and rng.random() < self.config.favorite_revisit_prob:
-            return rng.choice(favorites)
-        return self.universe.sample_pageview_publisher(
-            rng, interests=device.interests, country=device.country)
-
-    def _human_dwell(self, device: Device, publisher: Publisher,
-                     rng: random.Random) -> float:
-        config = self.config
-        median = (config.human_dwell_median * device.engagement
-                  * publisher.engagement)
-        return max(0.2, rng.lognormvariate(math.log(median),
-                                           config.human_dwell_sigma))
+                now += dwell + uniform(think_min, think_max)
 
     @staticmethod
     def _session_start(start: float, end: float, rng: random.Random) -> float:

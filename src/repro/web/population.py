@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.taxonomy.lexicon import Lexicon, build_default_lexicon
@@ -105,6 +106,21 @@ class PublisherUniverse:
         # Pageview popularity follows Zipf over rank order.
         self._popularity = CumulativeSampler(
             zipf_weights(len(self.publishers), self.config.zipf_exponent))
+        # Topic sets as bit masks (one bit per topic), so "carries one of
+        # the interests" is one AND.  Both caches below fill on first use.
+        self._topic_bits: dict[str, int] = {}
+        self._topic_masks: list[int] = []
+        for publisher in self.publishers:
+            mask = 0
+            for topic in publisher.topics:
+                mask |= self._topic_bits.setdefault(
+                    topic, 1 << len(self._topic_bits))
+            self._topic_masks.append(mask)
+        #: country -> topic mask per publisher index, 0 where the focus is
+        #: neither the country nor GLOBAL (no country: every focus).
+        self._local_masks: dict[str, list[int]] = {}
+        #: interests -> the bits of their topics (no interests: every bit).
+        self._interest_bits: dict[tuple[str, ...], int] = {}
 
     @staticmethod
     def _reverse_lexicon(lexicon: Lexicon) -> dict[str, list[str]]:
@@ -216,17 +232,29 @@ class PublisherUniverse:
         Popularity-weighted Zipf sampling, biased toward the visitor's
         interests and country: a few redraws keep the stream realistic
         (people mostly read what they care about, in their locale) without
-        making interests deterministic.
+        making interests deterministic.  A draw is kept when it carries an
+        interest (if any) and focuses on *country* or GLOBAL (if given).
         """
-        choice = self.publishers[self._popularity.sample(rng)]
-        interest_set = set(interests)
+        masks = self._local_masks.get(country)
+        if masks is None:
+            masks = self._local_masks[country] = [
+                mask if not country
+                or publisher.country_focus in (country, "GLOBAL") else 0
+                for publisher, mask in zip(self.publishers, self._topic_masks)]
+        wanted = self._interest_bits.get(interests)
+        if wanted is None:
+            wanted = -1 if not interests else 0
+            for topic in interests:
+                wanted |= self._topic_bits.get(topic, 0)
+            self._interest_bits[interests] = wanted
+        cumulative = self._popularity.cumulative
+        draw = rng.random
+        index = bisect_left(cumulative, draw())
         for _ in range(attempts):
-            topical = interest_set.intersection(choice.topics)
-            local = not country or choice.country_focus in (country, "GLOBAL")
-            if (topical or not interest_set) and local:
-                return choice
-            choice = self.publishers[self._popularity.sample(rng)]
-        return choice
+            if masks[index] & wanted:
+                break
+            index = bisect_left(cumulative, draw())
+        return self.publishers[index]
 
     def matching_publishers(self, topic: str) -> list[Publisher]:
         """All publishers carrying *topic* (used by bots to find targets)."""

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.adnetwork.campaign import CampaignSpec
 from repro.adnetwork.inventory import ExternalDemand, ExternalDemandConfig
-from repro.adnetwork.matching import MatchEngine, MatchReason
+from repro.adnetwork.matching import NO_MATCH, MatchEngine, MatchReason
 from repro.adnetwork.server import AdServer, NetworkPolicy
 from repro.geo.ipdb import GeoIpDatabase
 from repro.geo.providers import ProviderRegistry
@@ -236,3 +238,119 @@ class TestPlacementExclusions:
         anonymous_pub = make_publisher(domain="anon.es", is_anonymous=True)
         pageview = es_pageview(registry, publisher=anonymous_pub)
         assert server.serve(pageview, random.Random(0)) is None
+
+
+class _RecordingEngine(MatchEngine):
+    """Records the campaigns ``serve`` considers; never matches or draws."""
+
+    def __init__(self, lexicon):
+        super().__init__(lexicon)
+        self.considered = []
+
+    def decide(self, campaign, publisher, interests, rng, broad_rate=None):
+        self.considered.append(campaign.campaign_id)
+        return NO_MATCH
+
+
+def per_campaign_filter(campaigns, now, country, publisher):
+    """The checks ``serve`` made on every campaign before the flight table."""
+    return [campaign.campaign_id for campaign in campaigns
+            if campaign.is_active(now)
+            and campaign.targets_country(country)
+            and not campaign.excludes_publisher(publisher.domain,
+                                                publisher.is_anonymous)]
+
+
+HOUR = 3600.0
+COUNTRIES = ("ES", "RU", "US", "GLOBAL")
+
+#: (start hour, length in hours, countries, exclude domain, exclude
+#: anonymous): small grids make touching, overlapping, repeated and
+#: nested flights common.
+flight_specs = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(1, 4),
+              st.lists(st.sampled_from(COUNTRIES), min_size=1, max_size=3),
+              st.booleans(), st.booleans()),
+    min_size=1, max_size=6)
+
+
+class TestFlightTable:
+    @given(specs=flight_specs, anonymous=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_considers_what_the_per_campaign_filter_admits(
+            self, lexicon, ipdb, specs, anonymous):
+        campaigns = [
+            football_campaign(
+                campaign_id=f"c{index}",
+                start_unix=START + start * HOUR,
+                end_unix=START + (start + length) * HOUR,
+                target_countries=tuple(countries),
+                excluded_domains=frozenset({"Futbol9.ES"} if excluded
+                                           else ()),
+                exclude_anonymous=exclude_anonymous)
+            for index, (start, length, countries, excluded,
+                        exclude_anonymous) in enumerate(specs)]
+        engine = _RecordingEngine(lexicon)
+        server = AdServer(campaigns, engine, quiet_external(), ipdb)
+        publisher = make_publisher(domain="FUTBOL9.es", is_anonymous=anonymous)
+        bounds = sorted({c.start_unix for c in campaigns}
+                        | {c.end_unix for c in campaigns})
+        moments = ([bounds[0] - 1.0, bounds[-1] + 1.0]
+                   + bounds + [bound + HOUR / 2 for bound in bounds])
+        for now in moments:
+            for country in COUNTRIES + ("FR", ""):
+                engine.considered.clear()
+                # 1.2.3.4 is unknown to the IP database: the claimed
+                # country is used.
+                pageview = make_pageview(publisher=publisher, timestamp=now,
+                                         ip="1.2.3.4", country=country)
+                assert server.serve(pageview, random.Random(0)) is None
+                assert engine.considered == per_campaign_filter(
+                    campaigns, now, country, publisher), (now, country)
+
+
+def clamped_broad_rate(server, campaign, now):
+    """``broad_rate`` as written before its unreachable clamps went."""
+    policy = server.policy
+    elapsed_days = max(0.0, (now - campaign.start_unix) / 86_400.0)
+    expected = campaign.daily_budget_eur * elapsed_days
+    if expected <= 0.0:
+        return policy.broad_base_rate
+    spent = server.pacer.total_spend.get(campaign.campaign_id, 0.0)
+    pressure = min(1.0, max(0.0, (expected - spent) / expected))
+    supply = server.matched_supply(campaign.campaign_id)
+    scarcity = min(1.0, max(0.0, 1.0 - supply / policy.matched_supply_ref))
+    return (policy.broad_base_rate
+            + pressure * scarcity
+            * (policy.broad_max_rate - policy.broad_base_rate))
+
+
+class TestBroadRateFormula:
+    @given(offset=st.floats(-2 * 86_400.0, 3 * 86_400.0),
+           budget=st.floats(0.001, 500.0),
+           spent_share=st.floats(0.0, 3.0),
+           examined=st.integers(0, 400),
+           matched_share=st.floats(0.0, 1.0))
+    @example(offset=-3600.0, budget=50.0, spent_share=0.0, examined=300,
+             matched_share=0.01)                       # before the flight
+    @example(offset=0.0, budget=50.0, spent_share=0.0, examined=300,
+             matched_share=0.01)                       # at the start
+    @example(offset=43_200.0, budget=50.0, spent_share=2.0, examined=300,
+             matched_share=0.01)                       # spend above expected
+    @example(offset=43_200.0, budget=50.0, spent_share=0.0, examined=300,
+             matched_share=0.5)                        # supply above the ref
+    @example(offset=43_200.0, budget=50.0, spent_share=0.5, examined=10,
+             matched_share=0.0)                        # too few samples
+    @settings(max_examples=200, deadline=None)
+    def test_equals_clamped_formula(self, lexicon, ipdb, offset, budget,
+                                    spent_share, examined, matched_share):
+        campaign = football_campaign(daily_budget_eur=budget)
+        server = make_server(lexicon, ipdb, campaigns=[campaign])
+        expected = budget * max(0.0, offset) / 86_400.0
+        server.pacer.total_spend[campaign.campaign_id] = spent_share * expected
+        server._supply_examined[campaign.campaign_id] = examined
+        server._supply_matched[campaign.campaign_id] = round(
+            matched_share * examined)
+        now = START + offset
+        assert server.broad_rate(campaign, now) \
+            == clamped_broad_rate(server, campaign, now)

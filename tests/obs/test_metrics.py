@@ -88,6 +88,26 @@ class TestRegistry:
         with pytest.raises(MetricsError):
             registry.counter("x", domain="cpu")
 
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram"])
+    @pytest.mark.parametrize("name", ["", "tab\tname", "new\nline", " lead"])
+    def test_bad_name_rejected_on_first_registration(self, kind, name):
+        # Lookups of existing instruments skip the name check, so the
+        # first registration is where a bad name must still fail.
+        registry = MetricsRegistry()
+        register = getattr(registry, kind)
+        args = ((1.0,),) if kind == "histogram" else ()
+        with pytest.raises(MetricsError):
+            register(name, *args)
+        registry.counter("ok")
+        with pytest.raises(MetricsError):
+            register(name, *args)
+
+    def test_lookup_still_checks_domain(self):
+        registry = MetricsRegistry()
+        registry.counter("x")
+        with pytest.raises(MetricsError, match="domain must be one of"):
+            registry.counter("x", domain="cpu")
+
 
 class TestSnapshot:
     def make_snapshot(self):

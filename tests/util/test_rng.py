@@ -1,5 +1,6 @@
 """Tests for repro.util.rng — deterministic named random streams."""
 
+import bisect
 import random
 
 import pytest
@@ -105,3 +106,17 @@ class TestCumulativeSampler:
 
     def test_len_matches_weights(self):
         assert len(CumulativeSampler([1, 2, 3])) == 3
+
+    def test_cumulative_equals_running_sum(self):
+        weights = zipf_weights(500, 1.3)
+        total = sum(weights)
+        running, expected = 0.0, []
+        for weight in weights:
+            running += weight / total
+            expected.append(running)
+        expected[-1] = 1.0
+        sampler = CumulativeSampler(weights)
+        assert list(sampler.cumulative) == expected
+        rng_a, rng_b = random.Random(3), random.Random(3)
+        assert [sampler.sample(rng_a) for _ in range(200)] == [
+            bisect.bisect_left(expected, rng_b.random()) for _ in range(200)]

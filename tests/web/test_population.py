@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.util.rng import CumulativeSampler, zipf_weights
 from repro.web.population import PublisherUniverse, UniverseConfig
 
 
@@ -117,3 +120,56 @@ class TestSampling:
     def test_matching_publishers_topic_index(self, universe):
         for publisher in universe.matching_publishers("football"):
             assert "football" in publisher.topics
+
+
+def rejection_sample(universe, sampler, rng, interests, country, attempts):
+    """``sample_pageview_publisher`` as written before accept tables."""
+    choice = universe.publishers[sampler.sample(rng)]
+    interest_set = set(interests)
+    for _ in range(attempts):
+        topical = interest_set.intersection(choice.topics)
+        local = not country or choice.country_focus in (country, "GLOBAL")
+        if (topical or not interest_set) and local:
+            return choice
+        choice = universe.publishers[sampler.sample(rng)]
+    return choice
+
+
+class TestAcceptMasks:
+    @given(seed=st.integers(0, 2**32), data=st.data(),
+           country=st.sampled_from(("", "ES", "RU", "US", "GLOBAL", "FR")),
+           attempts=st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_same_draws_as_rejection_loop(self, universe, seed, data,
+                                          country, attempts):
+        topics = sorted({topic for p in universe.publishers
+                         for topic in p.topics}) + ["no-such-topic"]
+        interests = tuple(data.draw(st.lists(st.sampled_from(topics),
+                                             max_size=4)))
+        sampler = CumulativeSampler(zipf_weights(
+            len(universe), universe.config.zipf_exponent))
+        tabled, looped = random.Random(seed), random.Random(seed)
+        for _ in range(25):
+            assert universe.sample_pageview_publisher(
+                tabled, interests, country, attempts) is rejection_sample(
+                universe, sampler, looped, interests, country, attempts)
+        assert tabled.getstate() == looped.getstate()
+
+    @pytest.mark.parametrize("interests", [
+        (), ("no-such-topic",), ("football",), ("football", "no-such-topic"),
+        ("football", "football"), ("no-such-topic", "other-unknown")])
+    @pytest.mark.parametrize("country", ["", "ES", "GLOBAL", "FR"])
+    def test_edge_interests_and_countries(self, universe, interests, country):
+        # Only publishers of the head rank are drawn often; walk the topics
+        # of the most popular ones too, so their bits are exercised.
+        head_topics = tuple(universe.publishers[0].topics)
+        sampler = CumulativeSampler(zipf_weights(
+            len(universe), universe.config.zipf_exponent))
+        for wanted in (interests, interests + head_topics[:1]):
+            for seed in range(20):
+                tabled, looped = random.Random(seed), random.Random(seed)
+                for _ in range(10):
+                    assert universe.sample_pageview_publisher(
+                        tabled, wanted, country) is rejection_sample(
+                        universe, sampler, looped, wanted, country, 4)
+                assert tabled.getstate() == looped.getstate()
