@@ -21,7 +21,6 @@ from repro.experiments.runner import (
     ShardSpec,
     World,
     build_world,
-    merge_shard_outputs,
     plan_shards,
     run_paper_experiment,
     run_shard,
@@ -43,7 +42,6 @@ __all__ = [
     "ShardSpec",
     "World",
     "build_world",
-    "merge_shard_outputs",
     "plan_shards",
     "run_shard",
     "ParallelExperimentRunner",

@@ -38,15 +38,17 @@ Three things keep the pooled hot path cheap:
   creating the pool so children inherit the per-process cache
   copy-on-write.  On spawn-only platforms a pool initializer builds the
   world once per worker at startup instead of lazily on first task.
-* **Compact wire format.** Workers return :func:`pack_shard_output`
-  blobs (:mod:`repro.experiments.wire`) rather than whole pickled
-  ``ShardOutput`` objects — an order of magnitude fewer bytes cross the
-  process boundary per shard.
+* **Bytes on the wire.** Workers return :func:`pack_shard_output`
+  blobs, a plain pickle of the ``ShardOutput``, so the pool moves one
+  ``bytes`` object per shard and the parent decodes it only at fold
+  time.  :func:`unpack_shard_output` points impressions back at the
+  parent's own publishers and shares repeated trace values, so the
+  merged result holds no per-shard copies of either.
 * **Merge-as-you-go.** Completed shards fold into a
   :class:`~repro.experiments.runner.ShardMerger` as soon as the canonical
   plan order allows, overlapping merge work with still-running shards
   instead of paying a post-hoc barrier.  Out-of-order completions wait in
-  a buffer *as packed bytes* and are only unpacked at fold time.
+  a buffer as pickled bytes and are only unpickled at fold time.
 
 Shards are submitted largest-first so the long poles start early (the
 classic LPT heuristic) — a scheduling detail that cannot affect the
@@ -56,9 +58,11 @@ output.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 from repro.experiments.config import ExperimentConfig, paper_experiment
 from repro.experiments.runner import (
@@ -69,15 +73,16 @@ from repro.experiments.runner import (
     ShardOutput,
     ShardSpec,
     World,
+    _run_recovering,
     build_world,
     emit_plan_events,
     plan_shards,
     run_shard,
 )
-from repro.experiments.wire import pack_shard_output, unpack_shard_output
 from repro.faults.plan import ShardCrashError
 from repro.obs.events import EventLog
 from repro.obs.memwatch import MemoryWatch
+from repro.obs.trace import SpanRecord
 
 #: Per-process world cache.  ExperimentConfig is a frozen dataclass of
 #: hashable parts, so the config itself is the key; a worker that serves
@@ -118,38 +123,52 @@ def _warm_worker(config: ExperimentConfig) -> None:
     _world_for(config)
 
 
+def pack_shard_output(output: ShardOutput) -> bytes:
+    """Pickle one shard output for the trip to the parent process."""
+    return pickle.dumps(output, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def unpack_shard_output(blob: bytes, world: World) -> ShardOutput:
+    """Unpickle a :func:`pack_shard_output` blob against the parent *world*.
+
+    A plain unpickle would leave three kinds of waste in the merged
+    result: each shard's own copies of the publishers its impressions
+    point at, a new object for every repeated span name, attribute
+    string and instant (pickle never memoises floats), and a
+    materialised ``__dict__`` on every unpickled span, which roughly
+    doubles its size.  So impressions are pointed back at *world*'s
+    publishers, and spans are rebuilt through their constructor from
+    values that share one memo per frame.
+    """
+    output = pickle.loads(blob)
+    publisher = world.universe.by_domain
+    output.impressions = [
+        replace(impression, pageview=replace(
+            impression.pageview,
+            publisher=publisher(impression.pageview.publisher.domain)))
+        for impression in output.impressions]
+    memo: dict = {}
+    share = memo.setdefault
+    traces = []
+    for trace in output.traces:
+        spans = tuple([
+            SpanRecord(span.span_id, span.parent_id,
+                       share(span.name, span.name),
+                       share(span.start, span.start),
+                       share(span.end, span.end),
+                       tuple([(share(key, key), share(value, value))
+                              for key, value in span.attrs]))
+            for span in trace.spans])
+        traces.append(replace(trace, spans=spans))
+    output.traces = tuple(traces)
+    return output
+
+
 def _run_shard_job(config: ExperimentConfig, shard: ShardSpec,
-                   attempt: int = 0) -> ShardOutput:
-    """Worker entry point: simulate one shard in this process."""
-    return run_shard(config, shard, _world_for(config), attempt=attempt)
-
-
-def _run_shard_job_packed(config: ExperimentConfig, shard: ShardSpec,
-                          attempt: int = 0) -> bytes:
-    """Worker entry point returning the compact wire encoding.
-
-    Packing on the worker side keeps the bytes crossing the process
-    boundary an order of magnitude smaller than a pickled
-    :class:`ShardOutput`; the parent unpacks lazily at fold time.
-    """
-    return pack_shard_output(_run_shard_job(config, shard, attempt=attempt))
-
-
-def _run_recovering(config: ExperimentConfig, shard: ShardSpec,
-                    world: World, retries: int,
-                    first_attempt: int = 0) -> ShardOutput | None:
-    """Run one shard in-process with crash recovery; None when lost.
-
-    ``first_attempt`` resumes a shard that already burned attempts
-    elsewhere (a crashed-then-resubmitted shard stranded by a broken
-    pool) without resetting the fault plan's attempt counter.
-    """
-    for attempt in range(first_attempt, retries + 1):
-        try:
-            return run_shard(config, shard, world, attempt=attempt)
-        except ShardCrashError:
-            continue
-    return None
+                   attempt: int = 0) -> bytes:
+    """Worker entry point: simulate one shard and return it pickled."""
+    return pack_shard_output(
+        run_shard(config, shard, _world_for(config), attempt=attempt))
 
 
 class ParallelExperimentRunner:
@@ -194,7 +213,7 @@ class ParallelExperimentRunner:
                 heartbeat.pulse(done, done_weight, running=1,
                                 queued=len(shards) - done - 1)
                 output = _run_recovering(config, shard, world,
-                                         self.shard_retries)
+                                         self.shard_retries, run=run_shard)
                 if output is None:
                     merger.fold_lost(shard.scope, at=shard.end_unix)
                 else:
@@ -210,7 +229,7 @@ class ParallelExperimentRunner:
                     heartbeat: HeartbeatEmitter) -> None:
         """Fan shards out to a warm process pool, folding as they settle.
 
-        Settled shards are buffered as packed bytes and folded into
+        Settled shards are buffered as pickled bytes and folded into
         ``merger`` the moment canonical plan order allows — the merge
         overlaps with still-running shards instead of waiting for all of
         them.  Crashed shards are resubmitted with an incremented
@@ -221,7 +240,7 @@ class ParallelExperimentRunner:
         workers = min(self.jobs, len(shards))
         submit_order = sorted(range(len(shards)),
                               key=lambda i: (-shards[i].weight, i))
-        # index -> packed bytes | ShardOutput (inline fallback) | _LOST
+        # index -> pickled bytes | ShardOutput (inline fallback) | _LOST
         ready: dict[int, object] = {}
         attempts = [0] * len(shards)
         settled = [False] * len(shards)
@@ -244,7 +263,7 @@ class ParallelExperimentRunner:
                     merger.fold_lost(shards[next_fold].scope,
                                      at=shards[next_fold].end_unix)
                 elif isinstance(item, bytes):
-                    merger.fold(unpack_shard_output(item, config, world))
+                    merger.fold(unpack_shard_output(item, world))
                 else:
                     merger.fold(item)
                 next_fold += 1
@@ -256,7 +275,7 @@ class ParallelExperimentRunner:
                     initializer=_warm_worker,
                     initargs=(config,)) as pool:
                 pending = {
-                    pool.submit(_run_shard_job_packed, config, shards[index],
+                    pool.submit(_run_shard_job, config, shards[index],
                                 0): (index, 0)
                     for index in submit_order}
                 while pending:
@@ -282,7 +301,7 @@ class ParallelExperimentRunner:
                             if attempt < self.shard_retries:
                                 attempts[index] = attempt + 1
                                 retry = pool.submit(
-                                    _run_shard_job_packed, config,
+                                    _run_shard_job, config,
                                     shards[index], attempt + 1)
                                 pending[retry] = (index, attempt + 1)
                             else:
@@ -296,7 +315,8 @@ class ParallelExperimentRunner:
             if not settled[index]:
                 output = _run_recovering(config, shards[index], world,
                                          self.shard_retries,
-                                         first_attempt=attempts[index])
+                                         first_attempt=attempts[index],
+                                         run=run_shard)
                 settle(index, _LOST if output is None else output)
         fold_ready()
         heartbeat.pulse(settled_count, settled_weight, force=True)

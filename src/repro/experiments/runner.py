@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from repro.adnetwork.billing import CampaignBillingSummary
@@ -300,11 +301,12 @@ def _budget_divisor(config: ExperimentConfig, spec) -> int:
 class ShardOutput:
     """Everything a shard contributes to the merged experiment.
 
-    Designed to cross a process boundary: the impression store travels
-    as its raw-column payload (:meth:`ImpressionStore.export_columns` —
-    lossless, and foldable into the merged store without re-parsing),
-    billing and vendor-report state as per-campaign summaries, and
-    everything else as picklable frozen dataclasses or plain counters.
+    Every field pickles, so a pooled worker ships the whole output as one
+    pickle (:func:`repro.experiments.parallel.pack_shard_output`).  The
+    impression store travels as its raw-column payload
+    (:meth:`ImpressionStore.export_columns`), which the merge folds into
+    the merged store without re-parsing; billing and vendor-report state
+    travel as per-campaign summaries.
     """
 
     shard: ShardSpec
@@ -524,6 +526,28 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
     )
 
 
+def _run_recovering(config: ExperimentConfig, shard: ShardSpec,
+                    world: World, retries: int = DEFAULT_SHARD_RETRIES,
+                    first_attempt: int = 0,
+                    run: Callable[..., ShardOutput] = run_shard,
+                    ) -> ShardOutput | None:
+    """Run one shard in-process with crash recovery; None when lost.
+
+    ``first_attempt`` resumes a shard that already burned attempts
+    elsewhere (a crashed-then-resubmitted shard stranded by a broken
+    pool) without resetting the fault plan's attempt counter.  *run*
+    simulates one attempt; the parallel runner passes the ``run_shard``
+    name it imported, so a wrapper installed on that name sees every
+    attempt.
+    """
+    for attempt in range(first_attempt, retries + 1):
+        try:
+            return run(config, shard, world, attempt=attempt)
+        except ShardCrashError:
+            continue
+    return None
+
+
 # ---------------------------------------------------------------------- #
 # run telemetry
 # ---------------------------------------------------------------------- #
@@ -602,18 +626,14 @@ class HeartbeatEmitter:
 class ShardMerger:
     """Incremental canonical-order fold of shard outputs into one result.
 
-    The batch merge used to hold every :class:`ShardOutput` alive until
-    the last shard finished, then walk the full list several times — at
-    millions of impressions that barrier is both the peak-memory and the
-    tail-latency bottleneck of a parallel run.  This class is the same
-    deterministic reduction restructured as a fold: :meth:`fold` absorbs
-    one output (which can then be garbage-collected) and :meth:`result`
-    finalises.  Every order-sensitive reduction — record
-    re-identification, impression re-numbering, float sums of
-    charges/refunds, conversion concatenation — happens inside
-    :meth:`fold`, so outputs MUST be folded in the order
-    :func:`plan_shards` produced; all reductions are associative, which
-    makes the fold byte-identical to the batch merge.
+    Both runners merge through this class.  :meth:`fold` absorbs one
+    output (which can then be garbage-collected, so no run holds every
+    :class:`ShardOutput` alive at once) and :meth:`result` finalises.
+    Every order-sensitive reduction — record re-identification,
+    impression re-numbering, float sums of charges/refunds, conversion
+    concatenation — happens inside :meth:`fold`, so outputs MUST be
+    folded in the order :func:`plan_shards` produced; that order is what
+    makes serial and pooled runs byte-identical.
 
     :meth:`fold_lost` records a shard that exhausted crash recovery at
     its canonical position; its contributions are simply absent and the
@@ -838,23 +858,6 @@ class ShardMerger:
         )
 
 
-def merge_shard_outputs(config: ExperimentConfig, world: World,
-                        outputs: list[ShardOutput],
-                        lost: tuple[str, ...] = ()) -> ExperimentResult:
-    """Fold per-shard outputs (in canonical plan order) into one result.
-
-    Batch convenience over :class:`ShardMerger` — the runners themselves
-    fold outputs one at a time as shards complete, which keeps at most
-    one un-absorbed output alive instead of all of them.
-    """
-    merger = ShardMerger(config, world)
-    for output in outputs:
-        merger.fold(output)
-    for scope in lost:
-        merger.fold_lost(scope)
-    return merger.result()
-
-
 class ExperimentRunner:
     """Executes one :class:`ExperimentConfig` in-process.
 
@@ -893,15 +896,11 @@ class ExperimentRunner:
         for done, shard in enumerate(shards):
             heartbeat.pulse(done, done_weight, running=1,
                             queued=len(shards) - done - 1)
-            for attempt in range(DEFAULT_SHARD_RETRIES + 1):
-                try:
-                    merger.fold(run_shard(config, shard, world,
-                                          attempt=attempt))
-                    break
-                except ShardCrashError:
-                    continue
-            else:
+            output = _run_recovering(config, shard, world)
+            if output is None:
                 merger.fold_lost(shard.scope, at=shard.end_unix)
+            else:
+                merger.fold(output)
             done_weight += shard.weight
         heartbeat.pulse(len(shards), done_weight, force=True)
         return merger.result()

@@ -1,125 +1,108 @@
-"""Tests for the compact shard wire format (``experiments.wire``).
+"""Tests for shipping a shard's output from a pooled worker to the parent.
 
-The contract: ``unpack_shard_output(pack_shard_output(out))`` is value-
-identical to ``out`` — every field, including the raw store column
-payload, the trace set and the coverage ledger — while the packed blob
-stays an order of magnitude smaller than a plain ``ShardOutput`` pickle.
-A regression in either direction (lossy round-trip, or the wire format
-quietly bloating back toward whole-object pickles) fails loudly here.
+A worker returns ``pack_shard_output(out)``, one pickle of the
+``ShardOutput``; the parent calls ``unpack_shard_output(blob, world)``.
+The contract: the unpacked output is value-identical to ``out`` — every
+field, including the raw store column payload, the trace set, the
+coverage ledger and the event journal — its impressions point at the
+parent world's publishers, and equal trace values within one frame are
+one object, so the merged result keeps no per-shard copies.
 """
 
-import pickle
+import dataclasses
 
 import pytest
 
 from repro.experiments.config import paper_experiment
+from repro.experiments.parallel import pack_shard_output, unpack_shard_output
 from repro.experiments.runner import build_world, plan_shards, run_shard
-from repro.experiments.wire import (
-    WIRE_VERSION,
-    WireFormatError,
-    pack_shard_output,
-    unpack_shard_output,
-)
-
-#: The committed floor on wire-format compression vs. a plain pickle of
-#: the same ``ShardOutput``.  Measured ~10x at these scales; 8x leaves
-#: headroom for honest drift while still catching a format regression.
-MIN_COMPRESSION = 8.0
+from repro.faults.plan import FaultPlan
 
 
 @pytest.fixture(scope="module")
-def wire_world():
+def shipped():
+    """First, middle and last shard (seed 7, scale 0.02), each shipped.
+
+    The fourth pair is the first ``flaky`` shard with quarantined
+    frames; the world depends on seed and scale only, so it is shared.
+    """
     config = paper_experiment(seed=7, scale=0.02)
-    return config, build_world(config)
+    world = build_world(config)
+    shards = plan_shards(config)
+    outputs = [run_shard(config, shards[index], world)
+               for index in (0, len(shards) // 2, len(shards) - 1)]
+    flaky = dataclasses.replace(config, faults=FaultPlan.preset("flaky"))
+    outputs.append(next(
+        output for output in (run_shard(flaky, shard, world)
+                              for shard in plan_shards(flaky))
+        if output.quarantine))
+    return world, [(output,
+                    unpack_shard_output(pack_shard_output(output), world))
+                   for output in outputs]
 
 
 class TestRoundTrip:
-    def test_outputs_value_identical(self, wire_world):
-        config, world = wire_world
-        shards = plan_shards(config)
-        for index in (0, len(shards) // 2, len(shards) - 1):
-            out = run_shard(config, shards[index], world)
-            back = unpack_shard_output(pack_shard_output(out), config, world)
-            assert back == out
+    def test_outputs_value_identical(self, shipped):
+        _, pairs = shipped
+        for output, back in pairs:
+            assert back == output
 
-    def test_store_columns_value_identical(self, wire_world):
-        # The store merge folds the shard's raw columns; the wire format
-        # re-interns the store's string table through the frame-wide one,
-        # so the payload must come back value-identical — and a store
-        # rebuilt from it must serialise to byte-identical JSONL.
+    def test_store_columns_value_identical(self, shipped):
+        # The store merge folds the shard's raw columns, so the payload
+        # must come back value-identical — and a store rebuilt from it
+        # must serialise to byte-identical JSONL.
         from repro.collector.store import ImpressionStore
 
-        config, world = wire_world
-        shard = plan_shards(config)[0]
-        out = run_shard(config, shard, world)
-        back = unpack_shard_output(pack_shard_output(out), config, world)
-        assert back.store_columns == out.store_columns
-        original = ImpressionStore()
-        original.absorb_columns(out.store_columns)
-        rebuilt = ImpressionStore()
-        rebuilt.absorb_columns(back.store_columns)
-        assert rebuilt.dumps_jsonl() == original.dumps_jsonl()
+        _, pairs = shipped
+        for output, back in pairs:
+            assert back.store_columns == output.store_columns
+            original = ImpressionStore()
+            original.absorb_columns(output.store_columns)
+            rebuilt = ImpressionStore()
+            rebuilt.absorb_columns(back.store_columns)
+            assert rebuilt.dumps_jsonl() == original.dumps_jsonl()
 
-    def test_traces_and_metrics_survive(self, wire_world):
-        config, world = wire_world
-        shard = plan_shards(config)[0]
-        out = run_shard(config, shard, world)
-        back = unpack_shard_output(pack_shard_output(out), config, world)
-        assert back.traces == out.traces
-        assert back.metrics == out.metrics
-        assert back.coverage == out.coverage
+    def test_traces_and_metrics_survive(self, shipped):
+        _, pairs = shipped
+        for output, back in pairs:
+            assert output.traces
+            assert back.traces == output.traces
+            assert back.metrics == output.metrics
+            assert back.coverage == output.coverage
 
-    def test_events_survive(self, wire_world):
-        # The telemetry journal crosses the wire with the shard (v2).
-        config, world = wire_world
-        shard = plan_shards(config)[0]
-        out = run_shard(config, shard, world)
-        back = unpack_shard_output(pack_shard_output(out), config, world)
-        assert out.events  # at least shard.started
-        assert back.events == out.events
-        assert back.events_dropped == out.events_dropped
+    def test_events_survive(self, shipped):
+        _, pairs = shipped
+        for output, back in pairs:
+            assert output.events  # at least shard.started
+            assert back.events == output.events
+            assert back.events_dropped == output.events_dropped
 
-    def test_faulted_shard_round_trips(self):
-        # Quarantine entries and loss accounting cross the wire too.
-        from repro.faults.plan import FaultPlan
-
-        config = paper_experiment(seed=7, scale=0.01,
-                                  faults=FaultPlan.preset("flaky"))
-        world = build_world(config)
-        shard = plan_shards(config)[0]
-        out = run_shard(config, shard, world)
-        back = unpack_shard_output(pack_shard_output(out), config, world)
-        assert back == out
+    def test_faulted_shard_round_trips(self, shipped):
+        # Quarantine entries and loss accounting cross with the shard.
+        _, pairs = shipped
+        output, back = pairs[-1]
+        assert output.quarantine
+        assert back.quarantine == output.quarantine
+        assert back == output
 
 
-class TestSizeBudget:
-    def test_wire_is_an_order_of_magnitude_smaller(self, wire_world):
-        config, world = wire_world
-        shards = plan_shards(config)
-        for index in (0, len(shards) - 1):
-            out = run_shard(config, shards[index], world)
-            plain = len(pickle.dumps(out, protocol=pickle.HIGHEST_PROTOCOL))
-            wire = len(pack_shard_output(out))
-            assert plain / wire >= MIN_COMPRESSION, (
-                f"shard {index}: wire format compresses only "
-                f"{plain / wire:.1f}x (pickle {plain} -> wire {wire}); "
-                f"budget is {MIN_COMPRESSION}x")
+class TestShardShipping:
+    def test_impressions_point_at_world_publishers(self, shipped):
+        world, pairs = shipped
+        for _, back in pairs:
+            assert back.impressions
+            for impression in back.impressions:
+                publisher = impression.pageview.publisher
+                assert publisher is world.universe.by_domain(publisher.domain)
 
-
-class TestFraming:
-    def test_unknown_version_rejected(self, wire_world):
-        import zlib
-
-        config, world = wire_world
-        shard = plan_shards(config)[0]
-        out = run_shard(config, shard, world)
-        frame = pickle.loads(zlib.decompress(pack_shard_output(out)))
-        bad = zlib.compress(pickle.dumps(
-            (WIRE_VERSION + 1,) + tuple(frame[1:])))
-        with pytest.raises(WireFormatError, match="version"):
-            unpack_shard_output(bad, config, world)
-
-    def test_garbage_rejected(self, wire_world):
-        config, world = wire_world
-        with pytest.raises(WireFormatError):
-            unpack_shard_output(b"not a wire frame", config, world)
+    def test_equal_trace_values_are_one_object(self, shipped):
+        _, pairs = shipped
+        for _, back in pairs:
+            seen: dict = {}
+            for trace in back.traces:
+                for span in trace.spans:
+                    values = [span.name, span.start, span.end]
+                    for pair in span.attrs:
+                        values.extend(pair)
+                    for value in values:
+                        assert seen.setdefault(value, value) is value
