@@ -131,14 +131,14 @@ def pack_shard_output(output: ShardOutput) -> bytes:
 def unpack_shard_output(blob: bytes, world: World) -> ShardOutput:
     """Unpickle a :func:`pack_shard_output` blob against the parent *world*.
 
-    A plain unpickle would leave three kinds of waste in the merged
-    result: each shard's own copies of the publishers its impressions
-    point at, a new object for every repeated span name, attribute
-    string and instant (pickle never memoises floats), and a
-    materialised ``__dict__`` on every unpickled span, which roughly
-    doubles its size.  So impressions are pointed back at *world*'s
-    publishers, and spans are rebuilt through their constructor from
-    values that share one memo per frame.
+    Pickle keeps the sharing a shard's tracer built at commit (equal
+    attribute strings, pairs and tuples are one object in the blob), so
+    ``span.attrs`` is reused as unpickled.  Two kinds of waste remain and
+    are undone here: each shard's own copies of the publishers its
+    impressions point at, and a new float for every repeated span instant
+    (pickle never memoises floats).  So impressions are pointed back at
+    *world*'s publishers, and spans are rebuilt with span names and
+    instants shared through one memo per frame.
     """
     output = pickle.loads(blob)
     publisher = world.universe.by_domain
@@ -155,9 +155,7 @@ def unpack_shard_output(blob: bytes, world: World) -> ShardOutput:
             SpanRecord(span.span_id, span.parent_id,
                        share(span.name, span.name),
                        share(span.start, span.start),
-                       share(span.end, span.end),
-                       tuple([(share(key, key), share(value, value))
-                              for key, value in span.attrs]))
+                       share(span.end, span.end), span.attrs)
             for span in trace.spans])
         traces.append(replace(trace, spans=spans))
     output.traces = tuple(traces)

@@ -71,11 +71,24 @@ def _attr_str(value: object) -> str:
     return str(value)
 
 
-def _freeze_attrs(attrs: dict[str, object]) -> tuple[tuple[str, str], ...]:
-    return tuple([(key, _attr_str(value)) for key, value in attrs.items()])
+def _freeze_attrs(attrs: dict[str, object], table: Optional[dict] = None
+                  ) -> tuple[tuple[str, str], ...]:
+    """Stringify *attrs*; equal keys, values, pairs and tuples are one object.
+
+    *table* (fresh when None) is keyed on the frozen strings, never on raw
+    values: ``True`` and ``1`` hash alike but freeze to ``true`` and ``1``.
+    """
+    share = (table if table is not None else {}).setdefault
+    pairs = []
+    for key, value in attrs.items():
+        text = _attr_str(value)
+        pair = (share(key, key), share(text, text))
+        pairs.append(share(pair, pair))
+    frozen = tuple(pairs)
+    return share(frozen, frozen)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanRecord:
     """One typed span of a trace (an instant when ``start == end``).
 
@@ -109,7 +122,7 @@ class SpanRecord:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One impression's complete, immutable span tree.
 
@@ -158,6 +171,10 @@ class Tracer:
     index; the open-span stack holds the same entries.  Only
     :meth:`commit` builds :class:`SpanRecord`\\ s and stringifies
     attributes; :meth:`abandon` only clears the pending flag.
+
+    Commit freezes attributes through one table that lives as long as the
+    tracer (one shard) and never leaves it, so across every trace the
+    shard keeps, equal attribute strings, pairs and tuples are one object.
     """
 
     def __init__(self, recorder: "FlightRecorder | None" = None,
@@ -173,6 +190,7 @@ class Tracer:
         self._impression_id: Optional[int] = None
         self._campaign_id = ""
         self._record_id: Optional[int] = None
+        self._attr_table: dict = {}
 
     # -- lifecycle ----------------------------------------------------- #
 
@@ -240,7 +258,7 @@ class Tracer:
             record_id=self._record_id,
             spans=tuple([
                 SpanRecord(span_id, parent_id, name, start, stop,
-                           _freeze_attrs(attrs))
+                           _freeze_attrs(attrs, self._attr_table))
                 for span_id, parent_id, name, start, stop, attrs
                 in self._spans]),
         )
@@ -442,14 +460,15 @@ class FlightRecorder:
 
     # -- post-hoc annotation ------------------------------------------- #
 
-    def annotate(self, record_id: int, name: str, at: float,
-                 **attrs: object) -> bool:
+    def annotate(self, record_id: int, name: str, at: float, *,
+                 attr_table: Optional[dict] = None, **attrs: object) -> bool:
         """Append a span to the retained trace of one record.
 
         Offline pipeline stages (enrichment runs after the merge, on the
         assembled store) use this to extend committed traces; the span
-        lands as a child of the root.  Returns False when the record's
-        trace was never retained.
+        lands as a child of the root; one *attr_table* passed for a whole
+        pass makes equal attributes one object across its spans.  Returns
+        False when the record's trace was never retained.
         """
         position = self._positions().get(record_id)
         if position is None:
@@ -459,7 +478,8 @@ class FlightRecorder:
             span_id=max(span.span_id for span in trace.spans) + 1
             if trace.spans else 0,
             parent_id=trace.root.span_id if trace.spans else None,
-            name=name, start=at, end=at, attrs=_freeze_attrs(attrs))
+            name=name, start=at, end=at,
+            attrs=_freeze_attrs(attrs, attr_table))
         self._set_at(position, replace(trace, spans=trace.spans + (span,)))
         return True
 

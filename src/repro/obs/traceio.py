@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
-from repro.obs.trace import SpanRecord, TraceRecord
+from repro.obs.trace import SpanRecord, TraceError, TraceRecord
 from repro.util.tables import render_table
 
 #: Microseconds per simulated second — trace_event timestamps are in µs.
@@ -134,9 +134,18 @@ def dumps_trace_jsonl(traces: Iterable[TraceRecord]) -> str:
 
 
 def loads_trace_jsonl(text: str) -> tuple[TraceRecord, ...]:
-    """Inverse of :func:`dumps_trace_jsonl`."""
-    return tuple(_trace_from_dict(json.loads(line))
-                 for line in text.splitlines() if line.strip())
+    """Inverse of :func:`dumps_trace_jsonl`; errors name the 1-based line."""
+    traces = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        try:
+            if line.strip():
+                traces.append(_trace_from_dict(json.loads(line)))
+        except TraceError as error:
+            raise TraceError(f"trace JSONL line {number}: {error}") from error
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(f"trace JSONL line {number}: "
+                             f"{type(error).__name__}: {error}") from error
+    return tuple(traces)
 
 
 # -- text rendering ---------------------------------------------------- #

@@ -12,8 +12,9 @@ records — plus directed tests for the mutation paths (``enrich_at``,
 
 import gc
 import json
+import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -511,3 +512,37 @@ def test_sealed_store_memory_budget(small_result):
     finally:
         tracemalloc.stop()
     assert held / len(store) <= 400
+
+
+def held_bytes(roots) -> int:
+    """``sys.getsizeof`` summed over everything *roots* reach, each once.
+
+    Walks tuples and dataclass fields (plus any instance ``__dict__``),
+    counting every object by identity, so shared strings and tuples are
+    paid for once.  Deterministic, unlike a tracemalloc reading.
+    """
+    seen: dict = {}     # id -> object, which keeps every id unique
+    total = 0
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        total += sys.getsizeof(obj)
+        if isinstance(obj, tuple):
+            stack.extend(obj)
+        elif is_dataclass(obj):
+            stack.extend(getattr(obj, field.name) for field in fields(obj))
+            if hasattr(obj, "__dict__"):
+                stack.append(obj.__dict__)
+    return total
+
+
+def test_retained_trace_memory_budget(small_result):
+    # A retained trace holds about 2.4 KB once spans are slotted and
+    # equal attribute strings, pairs and tuples are shared; per-span
+    # ``__dict__``s and a fresh string per attribute cost about 6.5 KB.
+    traces = small_result.recorder.traces()
+    assert traces
+    assert held_bytes(traces) / len(traces) <= 3_000

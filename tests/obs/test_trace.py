@@ -279,6 +279,40 @@ class TestTraceIO:
                                              record_id=None))
         assert loads_trace_jsonl(dumps_trace_jsonl(traces)) == traces
 
+    @staticmethod
+    def jsonl_with_bad_second_trace(mutate) -> str:
+        good = json.loads(dumps_trace_jsonl([build_trace()]))
+        bad = json.loads(dumps_trace_jsonl([build_trace()]))
+        mutate(bad)
+        return "\n".join([json.dumps(good), "", json.dumps(bad)]) + "\n"
+
+    def test_jsonl_undecodable_line_is_located(self):
+        text = dumps_trace_jsonl([build_trace()]) + "{not json\n"
+        with pytest.raises(ValueError,
+                           match="line 2: JSONDecodeError: Expecting"):
+            loads_trace_jsonl(text)
+
+    def test_jsonl_missing_key_is_located(self):
+        text = self.jsonl_with_bad_second_trace(
+            lambda payload: payload.pop("shard_scope"))
+        with pytest.raises(ValueError,
+                           match="line 3: KeyError: 'shard_scope'"):
+            loads_trace_jsonl(text)
+
+    def test_jsonl_three_item_attribute_is_located(self):
+        text = self.jsonl_with_bad_second_trace(
+            lambda payload: payload["spans"][0]["attrs"].append(
+                ["a", "b", "c"]))
+        with pytest.raises(ValueError, match="line 3: ValueError: too many"):
+            loads_trace_jsonl(text)
+
+    def test_jsonl_span_ending_before_start_is_located(self):
+        def reverse(payload):
+            payload["spans"][1]["end"] = payload["spans"][1]["start"] - 1
+        text = self.jsonl_with_bad_second_trace(reverse)
+        with pytest.raises(TraceError, match="line 3: span .* ends before"):
+            loads_trace_jsonl(text)
+
     def test_render_tree_shows_nesting_and_attrs(self):
         rendered = render_trace_tree(build_trace())
         assert "impression" in rendered

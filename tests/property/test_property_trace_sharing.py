@@ -1,0 +1,135 @@
+"""Property test: shared attribute freezing changes no value, only identity.
+
+``Tracer.commit`` and ``FlightRecorder.annotate`` freeze attribute dicts
+through one table per shard (or per enrich pass).  The oracle is the
+per-pair freeze: ``(key, _attr_str(value))`` for every attribute, with no
+sharing.  Frozen attributes must equal it exactly — values that compare
+or hash alike (``True``, ``1``, ``1.0``; ``0.0``, ``-0.0``; ``nan``) still
+freeze to their own strings — while equal strings, pairs and attribute
+tuples come back as one object.  Slotted spans and traces must also
+survive pickle, ``copy.deepcopy`` and ``dataclasses.replace``.
+"""
+
+import copy
+import math
+import pickle
+from dataclasses import replace
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.obs.trace import Tracer, _attr_str
+
+
+def per_pair_freeze(attrs: dict) -> tuple:
+    """The freeze without sharing: one fresh pair per attribute."""
+    return tuple([(key, _attr_str(value)) for key, value in attrs.items()])
+
+
+def assert_shared(frozen_attrs) -> None:
+    """Equal strings, pairs and attribute tuples are one object."""
+    seen: dict = {}
+    for attrs in frozen_attrs:
+        assert seen.setdefault(attrs, attrs) is attrs
+        for pair in attrs:
+            assert seen.setdefault(pair, pair) is pair
+            for text in pair:
+                assert seen.setdefault(text, text) is text
+
+
+values = st.one_of(
+    st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, math.nan, math.inf,
+                     -math.inf, "1", "true", "0", "x" * 300]),
+    st.integers(-10**6, 10**6),
+    st.floats(),
+    st.text(max_size=8),
+    st.text(min_size=64, max_size=128),
+)
+
+
+def with_copied_value(parts) -> dict:
+    """Optionally repeat one value under a second key."""
+    attrs, copy_first = parts
+    if copy_first and attrs:
+        attrs["copy"] = next(iter(attrs.values()))
+    return attrs
+
+
+attr_dicts = st.tuples(
+    st.dictionaries(st.sampled_from(["campaign", "ok", "latency", "reason"]),
+                    values, max_size=4),
+    st.booleans(),
+).map(with_copied_value)
+
+TYPE_TWINS = [{"v": True}, {"v": 1}, {"v": 1.0}, {"v": 0.0}, {"v": -0.0},
+              {"v": math.nan}, {"v": "true", "copy": "true"}]
+
+
+def recorder_with(dicts):
+    """A recorder holding one trace per dict, attributes on two spans."""
+    tracer = Tracer(seed=3, scope="P/XX/0")
+    for index, attrs in enumerate(dicts):
+        tracer.start("impression", at=float(index), **attrs)
+        tracer.event("ws.frame", at=float(index), **attrs)
+        tracer.set_impression(index, "C1")
+        tracer.set_record(index)
+        tracer.commit()
+    return tracer.recorder
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(attr_dicts, max_size=8))
+@example(TYPE_TWINS)
+def test_commit_freezes_like_the_per_pair_oracle_and_shares(dicts):
+    traces = recorder_with(dicts).traces()
+    frozen = [span.attrs for trace in traces for span in trace.spans]
+    assert frozen == [per_pair_freeze(attrs)
+                      for attrs in dicts for _ in range(2)]
+    assert_shared(frozen)
+
+
+def test_type_twins_freeze_to_their_own_strings():
+    traces = recorder_with(TYPE_TWINS).traces()
+    assert [trace.root.attrs for trace in traces] == [
+        (("v", "true"),), (("v", "1"),), (("v", "1"),), (("v", "0"),),
+        (("v", "-0"),), (("v", "nan"),),
+        (("v", "true"), ("copy", "true"))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(attr_dicts, min_size=1, max_size=8),
+       st.lists(attr_dicts, max_size=8))
+@example([{}], TYPE_TWINS)
+def test_annotate_freezes_like_the_per_pair_oracle_and_shares(dicts, notes):
+    recorder = recorder_with(dicts)
+    table: dict = {}
+    for index, attrs in enumerate(notes):
+        assert recorder.annotate(index % len(dicts), "enrich.geo",
+                                 at=float(index), attr_table=table, **attrs)
+    annotated = [span.attrs for trace in recorder.traces()
+                 for span in trace.spans_named("enrich.geo")]
+    by_record = [[per_pair_freeze(attrs)
+                  for index, attrs in enumerate(notes)
+                  if index % len(dicts) == record]
+                 for record in range(len(dicts))]
+    assert annotated == [attrs for notes_of in by_record
+                         for attrs in notes_of]
+    assert_shared(annotated)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(attr_dicts, min_size=1, max_size=4))
+def test_slotted_records_round_trip(dicts):
+    traces = recorder_with(dicts).traces()
+    for trace in traces:
+        assert not hasattr(trace, "__dict__")
+        for span in trace.spans:
+            assert not hasattr(span, "__dict__")
+            assert replace(span) == span
+            assert replace(span, end=span.end + 1).end == span.end + 1
+        assert copy.deepcopy(trace) == trace
+        assert replace(trace, record_id=None).record_id is None
+    back = pickle.loads(pickle.dumps(traces, pickle.HIGHEST_PROTOCOL))
+    assert back == traces
+    # Pickle keeps the commit-time sharing inside one blob.
+    assert_shared([span.attrs for trace in back for span in trace.spans])
