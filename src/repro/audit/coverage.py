@@ -71,9 +71,11 @@ class CoverageCell:
         return self.delivered == self.unique + self.quarantined + self.lost
 
     def merge(self, other: "CoverageCell") -> None:
-        for spec in fields(self):
-            setattr(self, spec.name,
-                    getattr(self, spec.name) + getattr(other, spec.name))
+        for name in _CELL_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+_CELL_FIELDS = tuple(spec.name for spec in fields(CoverageCell))
 
 
 class CoverageCounts:
@@ -259,7 +261,7 @@ def render_coverage(coverage: ExperimentCoverage,
 
 
 def _cell_dict(cell: CoverageCell) -> dict[str, int]:
-    data = {spec.name: getattr(cell, spec.name) for spec in fields(cell)}
+    data = {name: getattr(cell, name) for name in _CELL_FIELDS}
     data["unique"] = cell.unique
     data["lost"] = cell.lost
     data["reconciles"] = cell.reconciles

@@ -41,9 +41,10 @@ Three things keep the pooled hot path cheap:
 * **Bytes on the wire.** Workers return :func:`pack_shard_output`
   blobs, a plain pickle of the ``ShardOutput``, so the pool moves one
   ``bytes`` object per shard and the parent decodes it only at fold
-  time.  :func:`unpack_shard_output` points impressions back at the
-  parent's own publishers and shares repeated trace values, so the
-  merged result holds no per-shard copies of either.
+  time.  A shard ships only what the merge reads (its deliveries stay
+  behind, counted by the coverage ledger), and spans pickle as
+  constructor calls that :func:`unpack_shard_output` resolves to a
+  factory sharing repeated span names and instants.
 * **Merge-as-you-go.** Completed shards fold into a
   :class:`~repro.experiments.runner.ShardMerger` as soon as the canonical
   plan order allows, overlapping merge work with still-running shards
@@ -57,12 +58,12 @@ output.
 
 from __future__ import annotations
 
+import io
 import multiprocessing
 import pickle
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 
 from repro.experiments.config import ExperimentConfig, paper_experiment
 from repro.experiments.runner import (
@@ -128,38 +129,33 @@ def pack_shard_output(output: ShardOutput) -> bytes:
     return pickle.dumps(output, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def unpack_shard_output(blob: bytes, world: World) -> ShardOutput:
-    """Unpickle a :func:`pack_shard_output` blob against the parent *world*.
+class _ShardUnpickler(pickle.Unpickler):
+    """Builds spans with their names and instants shared across one blob.
 
-    Pickle keeps the sharing a shard's tracer built at commit (equal
-    attribute strings, pairs and tuples are one object in the blob), so
-    ``span.attrs`` is reused as unpickled.  Two kinds of waste remain and
-    are undone here: each shard's own copies of the publishers its
-    impressions point at, and a new float for every repeated span instant
-    (pickle never memoises floats).  So impressions are pointed back at
-    *world*'s publishers, and spans are rebuilt with span names and
-    instants shared through one memo per frame.
+    Pickle memoises the ``SpanRecord`` global, so one memo serves a blob.
     """
-    output = pickle.loads(blob)
-    publisher = world.universe.by_domain
-    output.impressions = [
-        replace(impression, pageview=replace(
-            impression.pageview,
-            publisher=publisher(impression.pageview.publisher.domain)))
-        for impression in output.impressions]
-    memo: dict = {}
-    share = memo.setdefault
-    traces = []
-    for trace in output.traces:
-        spans = tuple([
-            SpanRecord(span.span_id, span.parent_id,
-                       share(span.name, span.name),
-                       share(span.start, span.start),
-                       share(span.end, span.end), span.attrs)
-            for span in trace.spans])
-        traces.append(replace(trace, spans=spans))
-    output.traces = tuple(traces)
-    return output
+
+    def find_class(self, module: str, name: str):
+        found = super().find_class(module, name)
+        if found is not SpanRecord:
+            return found
+        share = {}.setdefault
+
+        def span(span_id, parent_id, name, start, end, attrs):
+            return SpanRecord(span_id, parent_id, share(name, name),
+                              share(start, start), share(end, end), attrs)
+        return span
+
+
+def unpack_shard_output(blob: bytes) -> ShardOutput:
+    """Unpickle a :func:`pack_shard_output` blob.
+
+    Spans and traces load through their constructors, so every span is
+    checked on arrival.  ``span.attrs`` is used as unpickled: pickle keeps
+    the sharing the shard's tracer built at commit.  Pickle never memoises
+    floats, so span names and instants are shared as the spans are built.
+    """
+    return _ShardUnpickler(io.BytesIO(blob)).load()
 
 
 def _run_shard_job(config: ExperimentConfig, shard: ShardSpec,
@@ -261,7 +257,7 @@ class ParallelExperimentRunner:
                     merger.fold_lost(shards[next_fold].scope,
                                      at=shards[next_fold].end_unix)
                 elif isinstance(item, bytes):
-                    merger.fold(unpack_shard_output(item, world))
+                    merger.fold(unpack_shard_output(item))
                 else:
                     merger.fold(item)
                 next_fold += 1

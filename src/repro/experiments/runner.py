@@ -25,7 +25,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
-from repro.adnetwork.billing import CampaignBillingSummary
+from repro.adnetwork.billing import BillingLedger, CampaignBillingSummary
 from repro.adnetwork.conversions import ConversionEvent, ConversionSimulator
 from repro.adnetwork.inventory import ExternalDemand
 from repro.adnetwork.matching import MatchEngine
@@ -90,7 +90,6 @@ class ExperimentResult:
 
     config: ExperimentConfig
     dataset: AuditDataset
-    server: AdServer
     universe: PublisherUniverse
     registry: ProviderRegistry
     collector: CollectorServer
@@ -121,10 +120,12 @@ class ExperimentResult:
     #: between serial and parallel runs; the wall channel carries the
     #: runner's heartbeats and is excluded from that contract.
     events: EventLog = field(default_factory=EventLog)
+    #: Ground-truth deliveries per campaign id, from the coverage ledger.
+    delivered_by_campaign: dict[str, int] = field(default_factory=dict)
 
     def delivered(self, campaign_id: str) -> int:
         """Ground-truth impressions the network delivered for a campaign."""
-        return len(self.server.impressions_for(campaign_id))
+        return self.delivered_by_campaign.get(campaign_id, 0)
 
     def logged(self, campaign_id: str) -> int:
         """Impressions our methodology managed to log for a campaign."""
@@ -306,12 +307,11 @@ class ShardOutput:
     impression store travels as its raw-column payload
     (:meth:`ImpressionStore.export_columns`), which the merge folds into
     the merged store without re-parsing; billing and vendor-report state
-    travel as per-campaign summaries.
+    travel as per-campaign summaries, deliveries as coverage-ledger counts.
     """
 
     shard: ShardSpec
     store_columns: tuple
-    impressions: list
     conversions: list[ConversionEvent]
     billing: dict[str, CampaignBillingSummary]
     report_aggregates: dict[str, ReportAggregate]
@@ -501,7 +501,6 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
     return ShardOutput(
         shard=shard,
         store_columns=store.export_columns(),
-        impressions=list(server.impressions),
         conversions=conversions,
         billing=server.billing.summaries(),
         report_aggregates=aggregates,
@@ -629,11 +628,11 @@ class ShardMerger:
     Both runners merge through this class.  :meth:`fold` absorbs one
     output (which can then be garbage-collected, so no run holds every
     :class:`ShardOutput` alive at once) and :meth:`result` finalises.
-    Every order-sensitive reduction — record re-identification,
-    impression re-numbering, float sums of charges/refunds, conversion
-    concatenation — happens inside :meth:`fold`, so outputs MUST be
-    folded in the order :func:`plan_shards` produced; that order is what
-    makes serial and pooled runs byte-identical.
+    Every order-sensitive reduction — record re-identification, trace id
+    offsets, float sums of charges/refunds, conversion concatenation —
+    happens inside :meth:`fold`, so outputs MUST be folded in the order
+    :func:`plan_shards` produced; that order is what makes serial and
+    pooled runs byte-identical.
 
     :meth:`fold_lost` records a shard that exhausted crash recovery at
     its canonical position; its contributions are simply absent and the
@@ -651,12 +650,9 @@ class ShardMerger:
         # same canonical-order contract as metrics and traces.
         self._events = events if events is not None else EventLog()
         self._memwatch = memwatch if memwatch is not None else MemoryWatch()
-        self._campaigns = [plan.spec for plan in config.campaigns]
-        self._by_id = {spec.campaign_id: spec for spec in self._campaigns}
-        self._server = AdServer(self._campaigns, MatchEngine(world.lexicon),
-                                ExternalDemand(), world.ipdb,
-                                policy=NetworkPolicy())
-        self._next_impression_id = 1
+        self._by_id = {plan.spec.campaign_id: plan.spec
+                       for plan in config.campaigns}
+        self._billing = BillingLedger()
         self._store = ImpressionStore()
         self._recorder = FlightRecorder(head=None, tail=0)
         self._impression_offset = 0
@@ -683,44 +679,38 @@ class ShardMerger:
         """Absorb one shard output (must arrive in canonical plan order)."""
         if self._finalized:
             raise RuntimeError("cannot fold into a finalized merge")
+        delivered = sum(cell.delivered
+                        for cell in output.coverage.cells.values())
         with self._memwatch.stage("merge"):
-            self._fold(output)
+            self._fold(output, delivered)
         self._events.absorb(output.events, dropped=output.events_dropped)
         self._events.emit("shard.merged", at=output.shard.end_unix,
                           scope=output.shard.scope,
                           pageviews=output.pageviews,
-                          delivered=len(output.impressions),
+                          delivered=delivered,
                           records=output.records_committed)
 
-    def _fold(self, output: ShardOutput) -> None:
-        for impression in output.impressions:
-            # Re-id globally and point back at the advertiser's original
-            # spec (shards ran against budget-scaled copies).
-            self._server.impressions.append(replace(
-                impression,
-                impression_id=self._next_impression_id,
-                campaign=self._by_id[impression.campaign.campaign_id]))
-            self._next_impression_id += 1
+    def _fold(self, output: ShardOutput, delivered: int) -> None:
         for summary in output.billing.values():
-            self._server.billing.absorb_summary(summary)
+            self._billing.absorb_summary(summary)
         for campaign_id, aggregate in output.report_aggregates.items():
             seen = self._aggregates.get(campaign_id)
             self._aggregates[campaign_id] = aggregate if seen is None \
                 else merge_aggregates([seen, aggregate], campaign_id)
         self._store.absorb_columns(output.store_columns)
         # Fold the shard flight recorder in the same canonical order the
-        # impression list and the store were merged in, rewriting each
-        # trace's shard-local ids with the same cumulative offsets that
-        # renumbering produced — a merged trace is addressable by the ids
-        # the auditor actually sees.  Per-shard retention already bounded
-        # the sets, so the merged recorder holds everything shards kept.
+        # store was merged in, shifting each trace's shard-local ids by the
+        # deliveries and records of the shards before it — a merged trace
+        # is addressable by the ids the auditor actually sees.  Per-shard
+        # retention already bounded the sets, so the merged recorder holds
+        # everything shards kept.
         for trace in output.traces:
             self._recorder.record(replace(
                 trace,
                 impression_id=trace.impression_id + self._impression_offset,
                 record_id=None if trace.record_id is None
                 else trace.record_id + self._record_offset))
-        self._impression_offset += len(output.impressions)
+        self._impression_offset += delivered
         self._record_offset += output.records_committed
         self._metrics.absorb(output.metrics)
         self._raw_conversions.extend(output.conversions)
@@ -754,19 +744,16 @@ class ShardMerger:
         """Finalise: enrich, seal, and assemble the experiment result."""
         self._finalized = True
         config, world = self.config, self.world
-        server, store = self._server, self._store
+        billing, store = self._billing, self._store
         sums = self._sums
-        server._next_impression_id = self._next_impression_id
-        server.prefiltered_pageviews = sums["prefiltered"]
 
         reporter = VendorReporter()
         vendor_reports: dict[str, VendorReport] = {}
-        for spec in self._campaigns:
-            campaign_id = spec.campaign_id
+        for campaign_id in self._by_id:
             vendor_reports[campaign_id] = reporter.build(
                 self._aggregates[campaign_id],
-                charged_eur=server.billing.charged_total(campaign_id),
-                refunded_eur=server.billing.refunded_total(campaign_id))
+                charged_eur=billing.charged_total(campaign_id),
+                refunded_eur=billing.refunded_total(campaign_id))
 
         enricher = Enricher(world.ipdb, world.resolver,
                             world.universe.ranking, recorder=self._recorder)
@@ -823,14 +810,13 @@ class ShardMerger:
         return ExperimentResult(
             config=config,
             dataset=dataset,
-            server=server,
             universe=world.universe,
             registry=world.registry,
             collector=collector,
             network=network,
             pageview_count=sums["pageviews"],
             conversions=conversions,
-            # The merge-phase server/collector/store above run on
+            # The merge-phase ledger/collector/store above run on
             # *private* registries whose bookkeeping (lump-sum billing
             # absorption, counter re-assignment) is an artefact of
             # merging, not of simulation — only the shard snapshots,
@@ -839,11 +825,14 @@ class ShardMerger:
             recorder=self._recorder,
             coverage=coverage,
             events=self._events,
+            delivered_by_campaign={
+                campaign_id: cell.delivered for campaign_id, cell
+                in self._coverage_counts.by_campaign().items()},
             stats={
                 "pageviews": sums["pageviews"],
-                "delivered": len(server.impressions),
+                "delivered": totals.delivered,
                 "logged": len(store),
-                "prefiltered": server.prefiltered_pageviews,
+                "prefiltered": sums["prefiltered"],
                 "script_blocked_publisher": sums["script_blocked_publisher"],
                 "script_blocked_browser": sums["script_blocked_browser"],
                 "connect_failures": network.failed_connects,

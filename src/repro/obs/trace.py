@@ -110,6 +110,11 @@ class SpanRecord:
                 f"span {self.name} ends before it starts "
                 f"({self.end} < {self.start})")
 
+    def __reduce__(self):
+        # Load and copy through __init__: checked, with no fields() walk.
+        return (SpanRecord, (self.span_id, self.parent_id, self.name,
+                             self.start, self.end, self.attrs))
+
     @property
     def duration(self) -> float:
         return self.end - self.start
@@ -127,9 +132,9 @@ class TraceRecord:
     """One impression's complete, immutable span tree.
 
     ``impression_id`` and ``record_id`` are shard-local at commit time;
-    the experiment merge rewrites both with the canonical global offsets
-    (the same renumbering the impression list and the store undergo), so
-    a merged trace is addressable by the ids the auditor actually sees.
+    the experiment merge shifts both by the deliveries and records of the
+    shards folded before it, so a merged trace is addressable by the ids
+    the auditor actually sees.
     """
 
     trace_id: str
@@ -138,6 +143,11 @@ class TraceRecord:
     campaign_id: str
     record_id: Optional[int] = None
     spans: tuple[SpanRecord, ...] = ()
+
+    def __reduce__(self):
+        return (TraceRecord, (self.trace_id, self.shard_scope,
+                              self.impression_id, self.campaign_id,
+                              self.record_id, self.spans))
 
     @property
     def root(self) -> SpanRecord:

@@ -62,7 +62,7 @@ class TestRunnerOutputs:
         dc_records = [record for record in small_result.dataset.store
                       if record.is_datacenter]
         assert dc_records
-        assert small_result.server.prefiltered_pageviews > 0
+        assert small_result.stats["prefiltered"] > 0
 
     def test_deterministic_given_seed(self, small_config):
         from repro.experiments.runner import ExperimentRunner
@@ -72,6 +72,33 @@ class TestRunnerOutputs:
         # Compare against a second fresh run with the same seed.
         third = ExperimentRunner(small_config).run()
         assert first_ids == [record.url for record in third.dataset.store][:50]
+
+    def test_no_delivery_objects_survive_the_merge(self, small_result):
+        # Deliveries stay in their shard; the merge keeps only the coverage
+        # ledger's counts.  Walk everything the result references, without
+        # descending into classes, modules or function globals.
+        import gc
+        import types
+
+        from repro.adnetwork.server import DeliveredImpression
+        from repro.web.browsing import Pageview
+
+        seen: set[int] = set()
+        stack: list = [small_result]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (DeliveredImpression, Pageview)), obj
+            if isinstance(obj, (type, types.ModuleType)):
+                continue
+            if isinstance(obj, types.FunctionType):
+                stack.extend(cell.cell_contents
+                             for cell in obj.__closure__ or ())
+                continue
+            stack.extend(gc.get_referents(obj))
+        assert len(seen) > 10_000   # the walk reached the store and traces
 
     def test_stats_accounting(self, small_result):
         stats = small_result.stats

@@ -1,12 +1,11 @@
 """Tests for shipping a shard's output from a pooled worker to the parent.
 
 A worker returns ``pack_shard_output(out)``, one pickle of the
-``ShardOutput``; the parent calls ``unpack_shard_output(blob, world)``.
+``ShardOutput``; the parent calls ``unpack_shard_output(blob)``.
 The contract: the unpacked output is value-identical to ``out`` — every
 field, including the raw store column payload, the trace set, the
-coverage ledger and the event journal — its impressions point at the
-parent world's publishers, and equal trace values within one frame are
-one object, so the merged result keeps no per-shard copies.
+coverage ledger and the event journal — and equal trace values within
+one frame are one object, so the merged result keeps no per-shard copies.
 """
 
 import dataclasses
@@ -36,15 +35,13 @@ def shipped():
         output for output in (run_shard(flaky, shard, world)
                               for shard in plan_shards(flaky))
         if output.quarantine))
-    return world, [(output,
-                    unpack_shard_output(pack_shard_output(output), world))
-                   for output in outputs]
+    return [(output, unpack_shard_output(pack_shard_output(output)))
+            for output in outputs]
 
 
 class TestRoundTrip:
     def test_outputs_value_identical(self, shipped):
-        _, pairs = shipped
-        for output, back in pairs:
+        for output, back in shipped:
             assert back == output
 
     def test_store_columns_value_identical(self, shipped):
@@ -53,8 +50,7 @@ class TestRoundTrip:
         # must serialise to byte-identical JSONL.
         from repro.collector.store import ImpressionStore
 
-        _, pairs = shipped
-        for output, back in pairs:
+        for output, back in shipped:
             assert back.store_columns == output.store_columns
             original = ImpressionStore()
             original.absorb_columns(output.store_columns)
@@ -63,41 +59,29 @@ class TestRoundTrip:
             assert rebuilt.dumps_jsonl() == original.dumps_jsonl()
 
     def test_traces_and_metrics_survive(self, shipped):
-        _, pairs = shipped
-        for output, back in pairs:
+        for output, back in shipped:
             assert output.traces
             assert back.traces == output.traces
             assert back.metrics == output.metrics
             assert back.coverage == output.coverage
 
     def test_events_survive(self, shipped):
-        _, pairs = shipped
-        for output, back in pairs:
+        for output, back in shipped:
             assert output.events  # at least shard.started
             assert back.events == output.events
             assert back.events_dropped == output.events_dropped
 
     def test_faulted_shard_round_trips(self, shipped):
         # Quarantine entries and loss accounting cross with the shard.
-        _, pairs = shipped
-        output, back = pairs[-1]
+        output, back = shipped[-1]
         assert output.quarantine
         assert back.quarantine == output.quarantine
         assert back == output
 
 
 class TestShardShipping:
-    def test_impressions_point_at_world_publishers(self, shipped):
-        world, pairs = shipped
-        for _, back in pairs:
-            assert back.impressions
-            for impression in back.impressions:
-                publisher = impression.pageview.publisher
-                assert publisher is world.universe.by_domain(publisher.domain)
-
     def test_equal_trace_values_are_one_object(self, shipped):
-        _, pairs = shipped
-        for _, back in pairs:
+        for _, back in shipped:
             seen: dict = {}
             for trace in back.traces:
                 for span in trace.spans:

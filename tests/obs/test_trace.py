@@ -1,6 +1,9 @@
 """Tests for the deterministic tracing subsystem (trace + traceio)."""
 
+import copy
 import json
+import pickle
+import pickletools
 
 import pytest
 
@@ -251,6 +254,40 @@ class TestFlightRecorder:
             FlightRecorder(head=-1)
         with pytest.raises(ValueError):
             FlightRecorder(tail=-1)
+
+
+class TestPickleForm:
+    """Spans and traces pickle as calls to their constructors."""
+
+    def test_committed_trace_pickles_without_build(self):
+        trace = build_trace()
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            opcodes = {opcode.name for opcode, _, _
+                       in pickletools.genops(pickle.dumps(trace, protocol))}
+            assert "BUILD" not in opcodes, protocol
+
+    def test_round_trip_keeps_values_and_attribute_sharing(self):
+        tracer = Tracer(seed=11, scope="P1/DE/0")
+        first = build_trace(tracer, impression_id=1)
+        second = build_trace(tracer, impression_id=2)
+        # The tracer's table made equal attribute tuples one object.
+        assert first.spans[2].attrs is second.spans[2].attrs
+        loaded = pickle.loads(pickle.dumps(
+            [first, second], pickle.HIGHEST_PROTOCOL))
+        assert loaded == [first, second]
+        assert loaded[0].spans[2].attrs is loaded[1].spans[2].attrs
+        assert loaded[0].spans[0].attrs[0] is loaded[1].spans[0].attrs[0]
+        assert copy.copy(first) == first
+        assert copy.deepcopy(first) == first
+
+    def test_backwards_span_in_a_crafted_pickle_raises_on_load(self):
+        class Backwards:
+            def __reduce__(self):
+                return (SpanRecord, (0, None, "x", 2.0, 1.0, ()))
+
+        blob = pickle.dumps(Backwards())
+        with pytest.raises(TraceError):
+            pickle.loads(blob)
 
 
 class TestTraceIO:
