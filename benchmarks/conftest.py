@@ -6,7 +6,7 @@ its table or figure and writes the rendered rows to
 ``benchmarks/output/`` so runs can be diffed against the paper and
 against each other.
 
-``REPRO_BENCH_SCALE`` (default 0.08) sizes the world; set it to 1.0 to
+``REPRO_BENCH_SCALE`` (default 0.12) sizes the world; set it to 1.0 to
 regenerate the paper-scale numbers recorded in EXPERIMENTS.md.
 ``REPRO_JOBS`` (default 1) runs the shared experiment across that many
 worker processes — the result is byte-identical, it just arrives faster.

@@ -6,7 +6,10 @@ bytes themselves: SHA-256 of the JSONL and Chrome exports, of one
 ``explain`` receipt and of the sim-domain metrics snapshot
 (``metrics.restrict(SIM).to_json()``, which no benchmark digest covers),
 for seed 2016 at the scale of the shared ``small_result`` experiment
-(0.03).
+(0.03).  ``trace_jsonl_hostile`` pins the JSONL export of a serial run
+under the ``hostile`` fault plan (seed 2016, scale 0.01), the only one
+whose traces carry the fault path: ``fault.injected``, ``beacon.retry``,
+``transport.drop``, ``beacon.redeliver`` and ``collector.quarantine``.
 
 Digests are keyed by CPython minor version (float formatting and dict
 ordering are stable within one); a version with no entry skips.  After
@@ -21,6 +24,9 @@ import sys
 
 import pytest
 
+from repro.experiments.config import paper_experiment
+from repro.experiments.runner import ExperimentRunner
+from repro.faults.plan import FaultPlan
 from repro.obs.metrics import SIM
 from repro.obs.traceio import (
     AuditVerdict,
@@ -39,6 +45,8 @@ GOLDEN = {
             "a0f8bae4a49c7089e93fe869c983c57c38ace500d33853e56980d5afac0bcf42",
         "sim_metrics":
             "0c93852d534b9048781f51e9fb6daca1e229608e26b9cb1b2dddbd1b70450f26",
+        "trace_jsonl_hostile":
+            "559a44cc8d46cd888b33adec843d7e31557251b70f24e5e8027e596a4186aa10",
     },
 }
 
@@ -54,13 +62,28 @@ def _receipt(result) -> str:
                           audit_at=record.timestamp + record.exposure_seconds)
 
 
+def _jsonl(result) -> str:
+    return dumps_trace_jsonl(result.recorder.traces())
+
+
+#: Export name -> (the fixture giving the run, the export of that run).
 EXPORTS = {
-    "trace_jsonl": lambda result: dumps_trace_jsonl(result.recorder.traces()),
-    "chrome_trace":
-        lambda result: dumps_chrome_trace(result.recorder.traces()),
-    "explain": _receipt,
-    "sim_metrics": lambda result: result.metrics.restrict(SIM).to_json(),
+    "trace_jsonl": ("small_result", _jsonl),
+    "chrome_trace": ("small_result",
+                     lambda result: dumps_chrome_trace(
+                         result.recorder.traces())),
+    "explain": ("small_result", _receipt),
+    "sim_metrics": ("small_result",
+                    lambda result: result.metrics.restrict(SIM).to_json()),
+    "trace_jsonl_hostile": ("hostile_result", _jsonl),
 }
+
+
+@pytest.fixture(scope="module")
+def hostile_result():
+    """A serial run under the hostile fault plan, seed 2016, scale 0.01."""
+    return ExperimentRunner(paper_experiment(
+        seed=2016, scale=0.01, faults=FaultPlan.preset("hostile"))).run()
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +96,8 @@ def pinned():
 
 
 @pytest.mark.parametrize("export", sorted(EXPORTS))
-def test_trace_export_matches_golden_digest(small_result, pinned, export):
-    digest = hashlib.sha256(
-        EXPORTS[export](small_result).encode("utf-8")).hexdigest()
+def test_trace_export_matches_golden_digest(request, pinned, export):
+    fixture, render = EXPORTS[export]
+    digest = hashlib.sha256(render(request.getfixturevalue(fixture))
+                            .encode("utf-8")).hexdigest()
     assert digest == pinned[export], f"{export} digest is now {digest}"
