@@ -60,7 +60,6 @@ class Enricher:
         record view, let alone a replacement frozen dataclass per record.
         """
         enriched = 0
-        attr_table: dict = {}
         for index, record_id, ip, domain, timestamp in \
                 store.pending_enrichment():
             ip_record, verdict, ip_token = self._resolve_ip(ip)
@@ -77,7 +76,6 @@ class Enricher:
             if self.recorder is not None:
                 self.recorder.annotate(
                     record_id, "enrich.geo", at=timestamp,
-                    attr_table=attr_table,
                     country=ip_record.country if ip_record else "",
                     provider=ip_record.provider if ip_record else "",
                     datacenter=verdict.is_datacenter,

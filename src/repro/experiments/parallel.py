@@ -42,9 +42,9 @@ Three things keep the pooled hot path cheap:
   blobs, a plain pickle of the ``ShardOutput``, so the pool moves one
   ``bytes`` object per shard and the parent decodes it only at fold
   time.  A shard ships only what the merge reads (its deliveries stay
-  behind, counted by the coverage ledger), and spans pickle as
-  constructor calls that :func:`unpack_shard_output` resolves to a
-  factory sharing repeated span names and instants.
+  behind, counted by the coverage ledger), and its traces travel in the
+  packed form its flight recorder keeps them in: one ``marshal`` blob
+  per trace, never turned into spans on the way.
 * **Merge-as-you-go.** Completed shards fold into a
   :class:`~repro.experiments.runner.ShardMerger` as soon as the canonical
   plan order allows, overlapping merge work with still-running shards
@@ -58,7 +58,6 @@ output.
 
 from __future__ import annotations
 
-import io
 import multiprocessing
 import pickle
 from collections import OrderedDict
@@ -83,7 +82,6 @@ from repro.experiments.runner import (
 from repro.faults.plan import ShardCrashError
 from repro.obs.events import EventLog
 from repro.obs.memwatch import MemoryWatch
-from repro.obs.trace import SpanRecord
 
 #: Per-process world cache.  ExperimentConfig is a frozen dataclass of
 #: hashable parts, so the config itself is the key; a worker that serves
@@ -129,33 +127,13 @@ def pack_shard_output(output: ShardOutput) -> bytes:
     return pickle.dumps(output, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-class _ShardUnpickler(pickle.Unpickler):
-    """Builds spans with their names and instants shared across one blob.
-
-    Pickle memoises the ``SpanRecord`` global, so one memo serves a blob.
-    """
-
-    def find_class(self, module: str, name: str):
-        found = super().find_class(module, name)
-        if found is not SpanRecord:
-            return found
-        share = {}.setdefault
-
-        def span(span_id, parent_id, name, start, end, attrs):
-            return SpanRecord(span_id, parent_id, share(name, name),
-                              share(start, start), share(end, end), attrs)
-        return span
-
-
 def unpack_shard_output(blob: bytes) -> ShardOutput:
     """Unpickle a :func:`pack_shard_output` blob.
 
-    Spans and traces load through their constructors, so every span is
-    checked on arrival.  ``span.attrs`` is used as unpickled: pickle keeps
-    the sharing the shard's tracer built at commit.  Pickle never memoises
-    floats, so span names and instants are shared as the spans are built.
+    The traces arrive packed, as bytes, and stay so in the merged
+    recorder; their spans are built, and checked, only when read.
     """
-    return _ShardUnpickler(io.BytesIO(blob)).load()
+    return pickle.loads(blob)
 
 
 def _run_shard_job(config: ExperimentConfig, shard: ShardSpec,

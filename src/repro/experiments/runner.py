@@ -68,7 +68,7 @@ from repro.obs.metrics import (
     MetricsSnapshot,
 )
 from repro.obs.timing import wall_timer
-from repro.obs.trace import FlightRecorder, TraceRecord, Tracer
+from repro.obs.trace import FlightRecorder, Tracer
 from repro.taxonomy.lexicon import Lexicon, build_default_lexicon
 from repro.util.rng import RngFactory
 from repro.util.simclock import SimClock
@@ -331,9 +331,10 @@ class ShardOutput:
     #: aggregates, so serial and parallel runs agree field-for-field on
     #: every sim-domain metric.
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
-    #: The shard flight recorder's retained traces, in commit order, with
-    #: shard-local impression/record ids (the merge rewrites both).
-    traces: tuple[TraceRecord, ...] = ()
+    #: The shard flight recorder's retained traces, packed as committed
+    #: (:meth:`FlightRecorder.entries`), in commit order, with shard-local
+    #: impression/record ids (the merge rewrites both).
+    traces: tuple[tuple, ...] = ()
     #: Per-(publisher, campaign) delivery/loss accounting for this shard.
     coverage: CoverageCounts = field(default_factory=CoverageCounts)
     #: Quarantined-frame forensics from the shard collector (bounded).
@@ -516,7 +517,7 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
         connections_without_hello=collector.connections_without_hello,
         records_committed=collector.records_committed,
         metrics=metrics.snapshot(),
-        traces=recorder.traces(),
+        traces=recorder.entries(),
         coverage=coverage,
         quarantine=collector.quarantine.entries(),
         quarantine_dropped=collector.quarantine.dropped,
@@ -703,13 +704,13 @@ class ShardMerger:
         # deliveries and records of the shards before it — a merged trace
         # is addressable by the ids the auditor actually sees.  Per-shard
         # retention already bounded the sets, so the merged recorder holds
-        # everything shards kept.
-        for trace in output.traces:
-            self._recorder.record(replace(
-                trace,
-                impression_id=trace.impression_id + self._impression_offset,
-                record_id=None if trace.record_id is None
-                else trace.record_id + self._record_offset))
+        # everything shards kept, still packed.
+        for trace_id, scope, impression, campaign, record, *rest \
+                in output.traces:
+            self._recorder.keep((
+                trace_id, scope, impression + self._impression_offset,
+                campaign, None if record is None
+                else record + self._record_offset, *rest))
         self._impression_offset += delivered
         self._record_offset += output.records_committed
         self._metrics.absorb(output.metrics)

@@ -4,8 +4,8 @@ A worker returns ``pack_shard_output(out)``, one pickle of the
 ``ShardOutput``; the parent calls ``unpack_shard_output(blob)``.
 The contract: the unpacked output is value-identical to ``out`` — every
 field, including the raw store column payload, the trace set, the
-coverage ledger and the event journal — and equal trace values within
-one frame are one object, so the merged result keeps no per-shard copies.
+coverage ledger and the event journal.  Traces travel packed; once
+read, equal trace values of one frame are one object.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ from repro.experiments.config import paper_experiment
 from repro.experiments.parallel import pack_shard_output, unpack_shard_output
 from repro.experiments.runner import build_world, plan_shards, run_shard
 from repro.faults.plan import FaultPlan
+from repro.obs.trace import FlightRecorder
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +83,11 @@ class TestRoundTrip:
 class TestShardShipping:
     def test_equal_trace_values_are_one_object(self, shipped):
         for _, back in shipped:
+            recorder = FlightRecorder(head=None, tail=0)
+            for entry in back.traces:
+                recorder.keep(entry)
             seen: dict = {}
-            for trace in back.traces:
+            for trace in recorder.traces():
                 for span in trace.spans:
                     values = [span.name, span.start, span.end]
                     for pair in span.attrs:

@@ -7,6 +7,7 @@ import pickletools
 
 import pytest
 
+from repro.obs import trace as trace_module
 from repro.obs.trace import (
     NULL_TRACER,
     FlightRecorder,
@@ -38,7 +39,8 @@ def build_trace(tracer=None, impression_id=7, record_id=3):
     tracer.set_impression(impression_id, "C1")
     if record_id is not None:
         tracer.set_record(record_id)
-    return tracer.commit()
+    tracer.commit()
+    return tracer.recorder.traces()[-1]
 
 
 class TestTraceId:
@@ -81,7 +83,8 @@ class TestTracer:
         tracer = Tracer(seed=1, scope="s")
         tracer.start("root", at=0.0, flag=True, ratio=0.25, count=3, label="x")
         tracer.set_impression(1, "C")
-        trace = tracer.commit()
+        tracer.commit()
+        trace = tracer.recorder.traces()[-1]
         assert trace.root.attrs == (("flag", "true"), ("ratio", "0.25"),
                                     ("count", "3"), ("label", "x"))
         assert trace.root.attr("flag") == "true"
@@ -122,7 +125,8 @@ class TestTracer:
         tracer.end(at=1.0)      # no open child: must be a no-op
         tracer.event("leaf", at=2.0)
         tracer.set_impression(1, "C")
-        trace = tracer.commit()
+        tracer.commit()
+        trace = tracer.recorder.traces()[-1]
         assert trace.spans_named("leaf")[0].parent_id \
             == trace.root.span_id
 
@@ -181,7 +185,8 @@ class TestPendingTraceLaziness:
         self.record_one_of_each(tracer, values)
         assert [value.stringified for value in values] == [0, 0, 0, 0]
         tracer.set_impression(1, "C")
-        trace = tracer.commit()
+        tracer.commit()
+        trace = tracer.recorder.traces()[-1]
         assert [value.stringified for value in values] == [1, 1, 1, 1]
         assert [span.attr("value") for span in trace.spans] \
             == ["counted"] * 4
@@ -256,6 +261,38 @@ class TestFlightRecorder:
             FlightRecorder(tail=-1)
 
 
+class TestPackedRetention:
+    def test_commit_constructs_no_span_record(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record was built at commit")
+
+        tracer = Tracer(seed=11, scope="P1/DE/0")
+        with monkeypatch.context() as patched:
+            patched.setattr(trace_module, "SpanRecord", refuse)
+            patched.setattr(trace_module, "TraceRecord", refuse)
+            tracer.start("impression", at=100.0)
+            tracer.event("auction.decide", at=100.0, winner="C1")
+            tracer.set_impression(7, "C1")
+            assert tracer.commit() is None
+        assert len(tracer.recorder) == 1
+        assert tracer.recorder.traces()[0].spans[1].attr("winner") == "C1"
+
+    def test_annotate_leaves_the_span_blob_untouched(self):
+        tracer = Tracer(seed=11, scope="P1/DE/0")
+        build_trace(tracer)
+        (entry,) = tracer.recorder.entries()
+        assert tracer.recorder.annotate(3, "enrich.geo", at=101.5,
+                                        country="DE")
+        assert tracer.recorder.annotate(3, "enrich.asn", at=101.6, asn=1)
+        (annotated,) = tracer.recorder.entries()
+        assert annotated[:6] == entry[:6]
+        assert annotated[5] is entry[5]
+        spans = tracer.recorder.find_by_record(3).spans
+        assert [(span.span_id, span.parent_id, span.name)
+                for span in spans[-2:]] == [(4, 0, "enrich.geo"),
+                                            (5, 0, "enrich.asn")]
+
+
 class TestPickleForm:
     """Spans and traces pickle as calls to their constructors."""
 
@@ -268,9 +305,10 @@ class TestPickleForm:
 
     def test_round_trip_keeps_values_and_attribute_sharing(self):
         tracer = Tracer(seed=11, scope="P1/DE/0")
-        first = build_trace(tracer, impression_id=1)
-        second = build_trace(tracer, impression_id=2)
-        # The tracer's table made equal attribute tuples one object.
+        build_trace(tracer, impression_id=1)
+        build_trace(tracer, impression_id=2)
+        first, second = tracer.recorder.traces()
+        # One traces() call made equal attribute tuples one object.
         assert first.spans[2].attrs is second.spans[2].attrs
         loaded = pickle.loads(pickle.dumps(
             [first, second], pickle.HIGHEST_PROTOCOL))

@@ -95,6 +95,7 @@ class EagerTracer:
             self.record_id = record_id
 
     def commit(self, end=None):
+        # Like Tracer.commit, hands the trace over and returns None.
         if not self.active:
             return None
         if self.identity is None:
@@ -110,7 +111,6 @@ class EagerTracer:
             spans=tuple(sorted(self.closed, key=lambda span: span.span_id)))
         self.committed.append(trace)
         self.abandon()
-        return trace
 
 
 # A narrow range makes ties and near-ties between instants common.

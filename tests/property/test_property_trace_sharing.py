@@ -1,7 +1,8 @@
 """Property test: shared attribute freezing changes no value, only identity.
 
-``Tracer.commit`` and ``FlightRecorder.annotate`` freeze attribute dicts
-through one table per shard (or per enrich pass).  The oracle is the
+``Tracer.commit`` and ``FlightRecorder.annotate`` keep attribute dicts
+raw; ``FlightRecorder.traces`` freezes them through one table per call.
+The oracle is the
 per-pair freeze: ``(key, _attr_str(value))`` for every attribute, with no
 sharing.  Frozen attributes must equal it exactly — values that compare
 or hash alike (``True``, ``1``, ``1.0``; ``0.0``, ``-0.0``; ``nan``) still
@@ -14,6 +15,7 @@ import copy
 import math
 import pickle
 from dataclasses import replace
+from enum import Enum, IntEnum
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -102,10 +104,9 @@ def test_type_twins_freeze_to_their_own_strings():
 @example([{}], TYPE_TWINS)
 def test_annotate_freezes_like_the_per_pair_oracle_and_shares(dicts, notes):
     recorder = recorder_with(dicts)
-    table: dict = {}
     for index, attrs in enumerate(notes):
         assert recorder.annotate(index % len(dicts), "enrich.geo",
-                                 at=float(index), attr_table=table, **attrs)
+                                 at=float(index), **attrs)
     annotated = [span.attrs for trace in recorder.traces()
                  for span in trace.spans_named("enrich.geo")]
     by_record = [[per_pair_freeze(attrs)
@@ -133,3 +134,64 @@ def test_slotted_records_round_trip(dicts):
     assert back == traces
     # Pickle keeps the commit-time sharing inside one blob.
     assert_shared([span.attrs for trace in back for span in trace.spans])
+
+
+class Level(IntEnum):
+    LOW = 1
+
+
+class Colour(str, Enum):
+    RED = "red"
+
+
+class Celsius(float):
+    pass
+
+
+class Counted:
+    """Stringifies to a fixed text and counts how often it was asked."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __str__(self) -> str:
+        self.calls += 1
+        return "counted"
+
+
+non_builtin = st.one_of(
+    st.sampled_from([Level.LOW, Colour.RED]),
+    st.floats(allow_nan=False).map(Celsius),
+    st.lists(st.sampled_from([1, "a", Level.LOW]), max_size=3),
+    st.builds(Counted),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(non_builtin, min_size=1, max_size=6))
+def test_non_builtin_values_are_stringified_once_at_commit(values):
+    """Values marshal cannot keep raw read back as their commit-time
+    ``_attr_str``, however often they are read or mutated later."""
+    expected = [_attr_str(value) for value in values]
+    for value in values:
+        if isinstance(value, Counted):
+            value.calls = 0
+    tracer = Tracer(seed=3, scope="P/XX/0")
+    tracer.start("impression", at=0.0)
+    for index, value in enumerate(values):
+        tracer.event("ws.frame", at=float(index), value=value)
+    tracer.set_impression(0, "C1")
+    tracer.set_record(0)
+    tracer.commit()
+    for value in values:
+        if isinstance(value, list):
+            value.append(99)    # a drift after commit must not show
+    assert tracer.recorder.annotate(0, "enrich.geo", at=9.0, level=Level.LOW)
+    for _ in range(2):
+        trace = tracer.recorder.traces()[0]
+        assert [span.attr("value") for span in trace.spans_named(
+            "ws.frame")] == expected
+        assert trace.spans_named("enrich.geo")[0].attr("level") \
+            == _attr_str(Level.LOW)
+    counted = [value for value in values if isinstance(value, Counted)]
+    assert all(value.calls == values.count(value) for value in counted)
