@@ -14,6 +14,7 @@ import gc
 import json
 import sys
 import tracemalloc
+from collections import deque
 from dataclasses import asdict, fields, is_dataclass
 
 from hypothesis import given, settings
@@ -517,9 +518,11 @@ def test_sealed_store_memory_budget(small_result):
 def held_bytes(roots) -> int:
     """``sys.getsizeof`` summed over everything *roots* reach, each once.
 
-    Walks tuples and dataclass fields (plus any instance ``__dict__``),
-    counting every object by identity, so shared strings and tuples are
-    paid for once.  Deterministic, unlike a tracemalloc reading.
+    Walks tuples, lists, deques, dict keys and values, and dataclass
+    fields (plus any instance ``__dict__``), counting every object by
+    identity, so shared strings and tuples are paid for once.  An
+    ``array`` or ``bytes`` object's getsizeof includes its buffer.
+    Deterministic, unlike a tracemalloc reading.
     """
     seen: dict = {}     # id -> object, which keeps every id unique
     total = 0
@@ -530,8 +533,11 @@ def held_bytes(roots) -> int:
             continue
         seen[id(obj)] = obj
         total += sys.getsizeof(obj)
-        if isinstance(obj, tuple):
+        if isinstance(obj, (tuple, list, deque)):
             stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
         elif is_dataclass(obj):
             stack.extend(getattr(obj, field.name) for field in fields(obj))
             if hasattr(obj, "__dict__"):
@@ -549,9 +555,19 @@ def test_retained_trace_memory_budget(small_result):
 
 
 def test_packed_trace_memory_budget(small_result):
-    # What the recorder holds between reads: one packed entry per trace,
-    # its span rows and enrich notes as marshal blobs, about 1.35 KB.
-    # Holding the traces as records instead costs about 2.45 KB.
+    # A decompressed copy of the recorder's traces: one packed entry per
+    # trace, its span rows and enrich notes as marshal blobs, about
+    # 1.35 KB.  Holding the traces as records instead costs about 2.45 KB.
     entries = small_result.recorder.entries()
     assert entries
     assert held_bytes(entries) / len(entries) <= 1_400
+
+
+def test_sealed_trace_memory_budget(small_result):
+    # What the merged recorder holds between reads: each shard's traces as
+    # one compressed segment (about 180 B a trace), the enrich notes kept
+    # beside it (about 160 B) and the record index (about 15 B): about
+    # 360 B.  Holding every trace as a packed entry costs about 1.4 KB.
+    recorder = small_result.recorder
+    assert len(recorder)
+    assert held_bytes([recorder]) / len(recorder) <= 400

@@ -7,6 +7,10 @@ for any worker count.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +305,25 @@ class TestParallelMemo:
             run_paper_experiment_parallel.cache_clear()
 
 
+class TestSerialRunImports:
+    def test_serial_run_loads_no_process_pool(self):
+        # A jobs=1 run never builds a pool, so it should not pay for
+        # importing one; a fresh interpreter shows what the run loaded.
+        script = (
+            "import contextlib, io, sys\n"
+            "from repro.__main__ import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['--scale', '0.005', '--jobs', '1']) == 0\n"
+            "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+            "print(sorted(set(pool) & set(sys.modules)))\n")
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        process = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=300)
+        assert process.returncode == 0, process.stderr
+        assert process.stdout.strip().splitlines()[-1] == "[]"
+
+
 class TestBrokenPoolAttemptThreading:
     def test_fallback_resumes_at_recorded_attempt(self, monkeypatch):
         # Regression: the BrokenProcessPool fallback used to restart
@@ -357,7 +380,12 @@ class TestBrokenPoolAttemptThreading:
                 return FakeFuture(fn, (cfg, shard, attempt))
 
         monkeypatch.setattr(parallel_module, "run_shard", counting_run_shard)
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", FakePool)
+        # The runner reaches the pool through the package only in a
+        # pooled run, so the package attribute is what to replace.
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
         monkeypatch.setattr(
             parallel_module, "wait",
             lambda pending, return_when=None: (set(pending), set()))
