@@ -338,13 +338,17 @@ def main(argv: list[str] | None = None) -> int:
           f"delivered={result.stats['delivered']} "
           f"logged={result.stats['logged']}", file=sys.stderr)
 
+    # One audit report serves the printed audit and the JSON/CSV exports;
+    # the tables and figures read the same memoised axis results.
+    report = full_audit(result.dataset) \
+        if not (args.table or args.figure) or args.json or args.csv else None
     sections: list[str] = []
     for number in args.table or ():
         sections.append(_TABLES[number](result))
     for number in args.figure or ():
         sections.append(_FIGURES[number](result))
     if not sections:
-        sections.append(full_audit(result.dataset).render())
+        sections.append(report.render())
     if plan.active:
         # The coverage ledger explains, delivery by delivery, what the
         # fault plan cost the measurement; it never prints for the
@@ -372,7 +376,6 @@ def main(argv: list[str] | None = None) -> int:
 
         from repro.audit.export import report_to_csv, report_to_json
 
-        report = full_audit(result.dataset)
         if args.json:
             Path(args.json).write_text(report_to_json(report),
                                        encoding="utf-8")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.audit.dataset import AuditDataset
+from repro.audit.dataset import AuditDataset, memoised
 from repro.util.stats import Fraction2
 
 
@@ -80,6 +80,7 @@ class BrandSafetyAudit:
     def __init__(self, dataset: AuditDataset) -> None:
         self.dataset = dataset
 
+    @memoised
     def venn(self, campaign_id: Optional[str] = None) -> VennCounts:
         """Venn counts for one campaign, or across all campaigns."""
         audit = self.dataset.audit_publishers(campaign_id)
@@ -90,6 +91,7 @@ class BrandSafetyAudit:
             vendor_only=len(vendor - audit),
         )
 
+    @memoised
     def anonymous_bound(self, campaign_id: str) -> AnonymousBound:
         """Can ``anonymous.google`` inventory account for the gap?"""
         report = self.dataset.require_report(campaign_id)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.audit.dataset import AuditDataset
+from repro.audit.dataset import AuditDataset, memoised
 from repro.taxonomy.similarity import similarity_threshold
 from repro.util.stats import Fraction2
 
@@ -117,6 +117,7 @@ class ContextAudit:
             self._neighborhoods[campaign_id] = cached
         return cached
 
+    @memoised
     def assess(self, campaign_id: str) -> ContextResult:
         """The Table 2 comparison for one campaign."""
         rows = self.dataset.select(campaign_id, "domain")

@@ -45,11 +45,6 @@ class ConversionResult:
             else Fraction2(0, 0)
 
     @property
-    def conversions_per_click(self) -> Fraction2:
-        return Fraction2(min(self.conversions, self.clicks), self.clicks) \
-            if self.clicks else Fraction2(0, 0)
-
-    @property
     def cost_per_conversion_eur(self) -> float:
         """Spend per conversion (inf when nothing converted)."""
         if self.conversions == 0:

@@ -16,8 +16,9 @@ what a real advertiser could.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional, TypeVar
 
 from repro.adnetwork.campaign import CampaignSpec
 from repro.adnetwork.reporting import VendorReport
@@ -25,6 +26,8 @@ from repro.collector.store import ImpressionRecord, ImpressionStore
 from repro.taxonomy.lexicon import Lexicon
 from repro.web.publisher import Publisher
 from repro.web.ranking import RankingService
+
+Axis = TypeVar("Axis")
 
 
 @dataclass
@@ -38,12 +41,31 @@ class AuditDataset:
     lexicon: Lexicon
     ranking: RankingService
     notes: dict[str, str] = field(default_factory=dict)
+    #: What the memoised methods of the axes :meth:`audit` built have
+    #: computed, by axis class, method and arguments.
+    _results: dict[tuple, object] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for campaign_id in self.vendor_reports:
             if campaign_id not in self.campaigns:
                 raise ValueError(
                     f"vendor report for unknown campaign {campaign_id!r}")
+
+    def audit(self, axis: Callable[["AuditDataset"], Axis]) -> Axis:
+        """One audit axis over this dataset, sharing results with the rest.
+
+        The :func:`memoised` methods of every axis built here keep their
+        results in this dataset, so once the store is sealed the full
+        audit, the reconciliation, the tables, the figures and the CLI
+        compute each (axis, campaign) result once between them.  The
+        results live here rather than in stored axes: an axis holds its
+        dataset, and a dataset holding its axes would be a reference
+        cycle that keeps the store alive until a full garbage collection.
+        """
+        instance = axis(self)
+        instance._results = self._results
+        return instance
 
     @property
     def campaign_ids(self) -> list[str]:
@@ -97,3 +119,26 @@ class AuditDataset:
         if report is None:
             raise KeyError(f"no vendor report for campaign {campaign_id!r}")
         return report
+
+
+def memoised(method: Callable) -> Callable:
+    """Compute an axis method once per dataset, axis class and arguments
+    for axes built by :meth:`AuditDataset.audit` while the store is
+    sealed; compute on every call otherwise.
+
+    A sealed store's records never change, so the result holds for as
+    long as the dataset lives.  Every caller gets the same result object,
+    so memoised methods return immutable values (frozen dataclasses,
+    tuples).  An axis built directly may be configured differently (a
+    context criterion, a viewability threshold) and shares nothing.
+    """
+    @functools.wraps(method)
+    def cached(self, *args, **kwargs):
+        results = getattr(self, "_results", None)
+        if results is None or not self.dataset.store.sealed:
+            return method(self, *args, **kwargs)
+        key = (type(self), method.__name__, args, *kwargs.items())
+        if key not in results:
+            results[key] = method(self, *args, **kwargs)
+        return results[key]
+    return cached

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.audit.dataset import AuditDataset
+from repro.audit.dataset import AuditDataset, memoised
 from repro.util.stats import Fraction2
 
 
@@ -38,6 +38,7 @@ class FraudAudit:
     def __init__(self, dataset: AuditDataset) -> None:
         self.dataset = dataset
 
+    @memoised
     def assess(self, campaign_id: str) -> DataCenterStats:
         """One Table 4 row.
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.audit.dataset import AuditDataset
+from repro.audit.dataset import AuditDataset, memoised
 from repro.util.stats import median
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserFrequency:
     """One point of Figure 3's scatter."""
 
@@ -50,8 +50,9 @@ class FrequencyAudit:
     def __init__(self, dataset: AuditDataset) -> None:
         self.dataset = dataset
 
+    @memoised
     def user_frequencies(self, campaign_id: Optional[str] = None
-                         ) -> list[UserFrequency]:
+                         ) -> tuple[UserFrequency, ...]:
         """Scatter points, one per (user, ad) pair.
 
         With *campaign_id* None the analysis runs over every campaign and
@@ -81,8 +82,9 @@ class FrequencyAudit:
                     median_interarrival_seconds=median_gap,
                     min_interarrival_seconds=min_gap,
                 ))
-        return points
+        return tuple(points)
 
+    @memoised
     def summary(self, campaign_id: Optional[str] = None) -> FrequencySummary:
         """The headline numbers the paper quotes from Figure 3."""
         points = self.user_frequencies(campaign_id)

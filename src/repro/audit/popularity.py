@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.audit.dataset import AuditDataset
+from repro.audit.dataset import AuditDataset, memoised
 from repro.util.stats import bucket_index
 
 
@@ -54,6 +54,7 @@ class PopularityAudit:
         """The shared logarithmic rank buckets (100, 1K, ..., max rank)."""
         return self.dataset.ranking.bucket_edges(first_edge=first_edge)
 
+    @memoised
     def distribution(self, campaign_id: str,
                      first_edge: int = 100) -> RankDistribution:
         """Publisher and impression distributions for one campaign.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.audit.brand_safety import BrandSafetyAudit
 from repro.audit.context import ContextAudit
-from repro.audit.dataset import AuditDataset
+from repro.audit.dataset import AuditDataset, memoised
 from repro.audit.fraud import FraudAudit
 from repro.util.stats import Fraction2
 
@@ -44,10 +44,11 @@ class ReconciliationAudit:
 
     def __init__(self, dataset: AuditDataset) -> None:
         self.dataset = dataset
-        self.brand_safety = BrandSafetyAudit(dataset)
-        self.context = ContextAudit(dataset)
-        self.fraud = FraudAudit(dataset)
+        self.brand_safety = dataset.audit(BrandSafetyAudit)
+        self.context = dataset.audit(ContextAudit)
+        self.fraud = dataset.audit(FraudAudit)
 
+    @memoised
     def assess(self, campaign_id: str) -> Discrepancies:
         """Reconcile one campaign."""
         report = self.dataset.require_report(campaign_id)

@@ -93,16 +93,19 @@ class FullAuditReport:
 
 
 def full_audit(dataset: AuditDataset) -> FullAuditReport:
-    """Run every audit axis over *dataset*."""
-    # The reconciliation's own axis audits serve the report too, so the
-    # context judgements it caches are made once per pass.
-    reconciliation = ReconciliationAudit(dataset)
+    """Run every audit axis over *dataset*.
+
+    The axes come from :meth:`AuditDataset.audit`, so on a sealed
+    dataset the tables and figures read the results computed here
+    instead of computing them again.
+    """
+    reconciliation = dataset.audit(ReconciliationAudit)
     brand_safety = reconciliation.brand_safety
     context = reconciliation.context
     fraud = reconciliation.fraud
-    popularity = PopularityAudit(dataset)
-    viewability = ViewabilityAudit(dataset)
-    frequency = FrequencyAudit(dataset)
+    popularity = dataset.audit(PopularityAudit)
+    viewability = dataset.audit(ViewabilityAudit)
+    frequency = dataset.audit(FrequencyAudit)
     campaign_reports = []
     for campaign_id in dataset.campaign_ids:
         campaign_reports.append(CampaignAuditReport(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.audit.dataset import AuditDataset
+from repro.audit.dataset import AuditDataset, memoised
 from repro.util.stats import Fraction2, percentile
 
 
@@ -35,6 +35,7 @@ class ViewabilityAudit:
         self.dataset = dataset
         self.min_exposure_seconds = min_exposure_seconds
 
+    @memoised
     def assess(self, campaign_id: str) -> ViewabilityResult:
         """Upper-bound viewability for one campaign."""
         rows = self.dataset.select(campaign_id, "exposure_seconds",

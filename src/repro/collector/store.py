@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import chain
 from math import isfinite
 from operator import itemgetter
 from pathlib import Path
@@ -105,7 +105,7 @@ class ImpressionRecord:
         # record it was built from.  Only a value of another type is
         # converted: on its own type the conversion is the identity.  A
         # null numeric field still reaches (and fails) conversion; the
-        # value checks the direct load path shares follow.
+        # value checks follow.
         setattr_ = object.__setattr__
         try:
             if type(self.record_id) is not int:
@@ -167,16 +167,15 @@ _COUNT_LIMIT = 1 << 32
 _INT64_LIMIT = 1 << 63
 
 
-def _check_record(fields: Mapping) -> str:
-    """Raise ``ValueError`` unless *fields* make a valid record; return
-    the record's publisher domain.
+def _check_record(fields: Mapping) -> None:
+    """Raise ``ValueError`` unless *fields* make a valid record.
 
-    The one value check behind both ways a record enters a store: the
-    :class:`ImpressionRecord` constructor (after canonicalising types)
-    and the direct JSONL load path.  It admits only values every column
-    can hold, so no append writes part of a row and then fails.  The
-    finite, string and URL-host checks come last, so a record that an
-    earlier check rejects keeps its message.
+    The value check of the :class:`ImpressionRecord` constructor (after
+    canonicalising types); the chunked JSONL load makes the same checks
+    a column at a time (:func:`_canonical_columns`).  It admits only
+    values every column can hold, so no append writes part of a row and
+    then fails.  The finite, string and URL-host checks come last, so a
+    record that an earlier check rejects keeps its message.
     """
     record_id = fields["record_id"]
     if record_id < 1:
@@ -207,19 +206,24 @@ def _check_record(fields: Mapping) -> str:
     for name in _TEXT_FIELDS:
         if not isinstance(fields[name], str):
             raise ValueError(f"{name} must be a string")
-    return domain_of_url(fields["url"])
+    domain_of_url(fields["url"])
 
 
 #: The record fields' values of a decoded line, in field order.
 _record_values = itemgetter(*_FIELD_SPECS)
 
-#: Every field-order tuple of value types a canonical dump line can
-#: hold: each field's declared type, or ``None`` where it is optional.
-_CANONICAL_TYPES = frozenset(product(*(
-    {"int": (int,), "float": (float,), "bool": (bool,), "str": (str,),
-     "Optional[int]": (int, type(None)),
-     "Optional[bool]": (bool, type(None))}[field.type]
-    for field in _FIELD_SPECS.values())))
+#: Per field, in field order, the value types a canonical dump line can
+#: hold there: the declared type, or it and ``None`` where it is optional.
+_FIELD_TYPES = tuple(
+    {"int": frozenset({int}), "float": frozenset({float}),
+     "bool": frozenset({bool}), "str": frozenset({str}),
+     "Optional[int]": frozenset({int, type(None)}),
+     "Optional[bool]": frozenset({bool, type(None)})}[field.type]
+    for field in _FIELD_SPECS.values())
+#: Most lines :meth:`ImpressionStore.load_jsonl` decodes before it checks
+#: and appends them as columns; a longer chunk holds more decoded lines
+#: at once for little more speed.
+_LOAD_CHUNK = 64
 
 
 class _ColumnData:
@@ -279,35 +283,67 @@ class _ColumnData:
         return _TRI_NONE if value is None else int(value)
 
     def append_record(self, record: ImpressionRecord) -> None:
-        self.append_fields(vars(record), record.domain)
-
-    def append_fields(self, fields: Mapping, domain: str) -> None:
-        """Append one row from a valid record's field mapping of canonical
-        types (``vars(record)``, or a canonical decoded dump line) and the
-        domain of its URL."""
         intern = self.intern
         tri = self._tri
-        rank = fields["global_rank"]
-        self.ids.append(fields["record_id"])
-        self.timestamp.append(fields["timestamp"])
-        self.exposure.append(fields["exposure_seconds"])
-        self.mouse_moves.append(fields["mouse_moves"])
-        self.clicks.append(fields["clicks"])
-        self.truncated.append(fields["truncated"])
-        self.pixels.append(tri(fields["pixels_in_view"]))
-        self.campaign.append(intern(fields["campaign_id"]))
-        self.creative.append(intern(fields["creative_id"]))
-        self.url.append(intern(fields["url"]))
-        self.domain.append(intern(domain))
-        self.ua.append(intern(fields["user_agent"]))
-        self.ip.append(intern(fields["ip"]))
-        self.ip_token.append(intern(fields["ip_token"]))
-        self.provider.append(intern(fields["provider"]))
-        self.country.append(intern(fields["country"]))
-        self.dc_stage.append(intern(fields["dc_stage"]))
+        rank = record.global_rank
+        self.ids.append(record.record_id)
+        self.timestamp.append(record.timestamp)
+        self.exposure.append(record.exposure_seconds)
+        self.mouse_moves.append(record.mouse_moves)
+        self.clicks.append(record.clicks)
+        self.truncated.append(record.truncated)
+        self.pixels.append(tri(record.pixels_in_view))
+        self.campaign.append(intern(record.campaign_id))
+        self.creative.append(intern(record.creative_id))
+        self.url.append(intern(record.url))
+        self.domain.append(intern(record.domain))
+        self.ua.append(intern(record.user_agent))
+        self.ip.append(intern(record.ip))
+        self.ip_token.append(intern(record.ip_token))
+        self.provider.append(intern(record.provider))
+        self.country.append(intern(record.country))
+        self.dc_stage.append(intern(record.dc_stage))
         self.rank_present.append(0 if rank is None else 1)
         self.rank.append(rank or 0)
-        self.is_dc.append(tri(fields["is_datacenter"]))
+        self.is_dc.append(tri(record.is_datacenter))
+
+    def append_columns(self, columns: list[tuple],
+                       domain_of: Mapping[str, str]) -> None:
+        """Append checked canonical rows given as field columns, in field
+        order, and the domain of each of their URLs.  Strings are interned
+        in the row-major order :meth:`append_record` uses."""
+        (ids, campaign, creative, url, ua, ip, timestamp, exposure,
+         mouse_moves, clicks, truncated, pixels, ip_token, provider,
+         country, rank, is_dc, dc_stage) = columns
+        domain = [domain_of[text] for text in url]
+        strings = self.strings
+        index = self._string_index
+        for text in dict.fromkeys(chain.from_iterable(zip(
+                campaign, creative, url, domain, ua, ip, ip_token, provider,
+                country, dc_stage))):
+            if text not in index:
+                index[text] = len(strings)
+                strings.append(text)
+        code = index.__getitem__
+        self.ids.extend(ids)
+        self.timestamp.extend(timestamp)
+        self.exposure.extend(exposure)
+        self.mouse_moves.extend(mouse_moves)
+        self.clicks.extend(clicks)
+        self.truncated.extend(truncated)
+        self.pixels.extend([_TRI_NONE if value is None else value
+                            for value in pixels])
+        for column, texts in (
+                (self.campaign, campaign), (self.creative, creative),
+                (self.url, url), (self.domain, domain), (self.ua, ua),
+                (self.ip, ip), (self.ip_token, ip_token),
+                (self.provider, provider), (self.country, country),
+                (self.dc_stage, dc_stage)):
+            column.extend(map(code, texts))
+        self.rank_present.extend([value is not None for value in rank])
+        self.rank.extend([value or 0 for value in rank])
+        self.is_dc.extend([_TRI_NONE if value is None else value
+                           for value in is_dc])
 
     def write_record(self, row: int, record: ImpressionRecord) -> None:
         self.ids[row] = record.record_id
@@ -456,18 +492,57 @@ def _decode_line(line: str) -> object:
     return data
 
 
-def _is_canonical(data: object) -> bool:
-    """A decoded line holding exactly the record fields, each of the JSON
-    type a dump writes for it — a row the columns take as it is."""
-    if type(data) is not dict or len(data) != len(_RECORD_FIELDS):
-        return False
+def _canonical_columns(lines: list[str], last_id: int
+                       ) -> Optional[tuple[list[tuple], dict[str, str]]]:
+    """The field columns of *lines* and the domain of each URL, or None
+    unless every line is a canonical record line that passes
+    :func:`_check_record` and the ids increase from past *last_id*.
+
+    The checks are :func:`_check_record`'s and the load's id-order
+    check, made a column at a time; a sum is finite only when every
+    value is.  None sends the lines through the per-line path, which
+    names the first bad line.
+    """
+    rows = []
+    for line in lines:
+        # Each decoded dict goes as soon as its values are taken: a chunk
+        # holds its lines and values but not 64 dicts at once.
+        try:
+            data, end = _raw_decode(line)
+        except (json.JSONDecodeError, RecursionError):
+            return None
+        if end != len(line) or type(data) is not dict \
+                or len(data) != len(_RECORD_FIELDS):
+            return None
+        try:
+            rows.append(_record_values(data))
+        except KeyError:    # as many keys, but not the record's
+            return None
+    columns = list(zip(*rows))
+    if any(not set(map(type, column)) <= types
+           for column, types in zip(columns, _FIELD_TYPES)):
+        return None
+    (ids, campaign, _, url, _, ip, timestamp, exposure, mouse_moves,
+     clicks, _, _, ip_token, _, _, rank, _, _) = columns
+    ranks = [value for value in rank if value is not None]
+    if not (last_id < ids[0] and ids[-1] < _INT64_LIMIT
+            and all(map(int.__lt__, ids, ids[1:]))
+            and "" not in campaign and "" not in url
+            # "" is the least string: both are empty where max(...) is.
+            and "" not in map(max, ip, ip_token)
+            and min(exposure) >= 0 and min(mouse_moves) >= 0
+            and min(clicks) >= 0 and max(mouse_moves) < _COUNT_LIMIT
+            and max(clicks) < _COUNT_LIMIT
+            and -_INT64_LIMIT <= min(ranks, default=0)
+            and max(ranks, default=0) < _INT64_LIMIT
+            and isfinite(sum(timestamp)) and isfinite(sum(exposure))):
+        return None
     try:
-        values = _record_values(data)
-    except KeyError:        # as many keys, but not the record's
-        return False
-    # Sized through a list: a resized ``tuple(map(...))`` per line would
-    # pile up in CPython's tuple free list and outlive the load.
-    return tuple([*map(type, values)]) in _CANONICAL_TYPES
+        domain_of = {text: domain_of_url(text)
+                     for text in dict.fromkeys(url)}
+    except ValueError:
+        return None
+    return columns, domain_of
 
 
 def _validated_payload(payload: tuple) -> tuple:
@@ -505,11 +580,12 @@ class ImpressionStore:
             "store.sealed", help="1 once the store is frozen against writes")
         self._data = _ColumnData()
         # seal()-built indexes: campaign intern index -> row positions /
-        # domain sets, plus the global user-key grouping.
+        # domain sets, plus each row's user key, one string per user.
         self._campaign_rows: dict[int, array] | None = None
         self._campaign_domains: dict[int, set[str]] | None = None
         self._all_domains: set[str] | None = None
-        self._user_rows: dict[str, array] | None = None
+        self._user_keys: list[str] | None = None
+        self._user_of_row: array | None = None
 
     def __len__(self) -> int:
         return len(self._data)
@@ -666,7 +742,8 @@ class ImpressionStore:
         campaign_rows: dict[int, array] = {}
         campaign_domains: dict[int, set[str]] = {}
         all_domains: set[str] = set()
-        user_rows: dict[str, array] = {}
+        users: dict[str, int] = {}
+        user_of_row = array("I")
         for row, (campaign, domain, user_key) in enumerate(zip(
                 self._data.campaign, self._column("domain", None),
                 self._column("user_key", None))):
@@ -677,14 +754,12 @@ class ImpressionStore:
             rows.append(row)
             campaign_domains[campaign].add(domain)
             all_domains.add(domain)
-            grouped = user_rows.get(user_key)
-            if grouped is None:
-                grouped = user_rows[user_key] = array("I")
-            grouped.append(row)
+            user_of_row.append(users.setdefault(user_key, len(users)))
         self._campaign_rows = campaign_rows
         self._campaign_domains = campaign_domains
         self._all_domains = all_domains
-        self._user_rows = user_rows
+        self._user_keys = list(users)
+        self._user_of_row = user_of_row
 
     def _rows_for(self, campaign_id: str) -> "array | range":
         """Row positions of one campaign: index lookup once sealed, a
@@ -743,9 +818,6 @@ class ImpressionStore:
                 ) -> dict[str, list[ImpressionRecord]]:
         """Records grouped by (IP, User-Agent) user key."""
         record = self._data.record
-        if campaign_id is None and self._user_rows is not None:
-            return {user_key: [record(row) for row in rows]
-                    for user_key, rows in self._user_rows.items()}
         rows = range(len(self._data)) if campaign_id is None \
             else self._rows_for(campaign_id)
         grouped: dict[str, list[ImpressionRecord]] = {}
@@ -783,6 +855,12 @@ class ImpressionStore:
         if name == "identity":
             return [token or ip for token, ip
                     in zip(take("ip_token", strings), take("ip", strings))]
+        if name == "user_key" and self._user_of_row is not None:
+            # Sealed: the seal-time strings, one object per user.
+            keys, users = self._user_keys, self._user_of_row
+            if rows is None:
+                return [keys[user] for user in users]
+            return [keys[users[row]] for row in rows]
         if name == "user_key":
             return [f"{token or ip}\x1f{ua}" for token, ip, ua
                     in zip(take("ip_token", strings), take("ip", strings),
@@ -832,32 +910,45 @@ class ImpressionStore:
         """Parse JSONL *lines* into this (empty) store.
 
         Shared by :meth:`loads_jsonl` and :meth:`load_jsonl`; the error
-        messages name ``source:line_number`` identically for both.  The
-        appends counter advances once for the whole batch, so a loaded
-        store reports how many records it holds instead of zero.
+        messages name ``source:line_number`` identically for both.  Lines
+        go in chunks of at most ``_LOAD_CHUNK``: a chunk of canonical,
+        valid lines (every chunk of a dump) is checked and appended a
+        column at a time, and any other chunk line by line.  The appends
+        counter advances once for the whole batch, so a loaded store
+        reports how many records it holds instead of zero.
         """
-        append = self._data.append_fields
         last_id = 0
-        added = 0
+        chunk: list[tuple[int, str]] = []
         for line_number, line in enumerate(lines, start=1):
             line = line.strip()
-            if not line:
-                continue
+            if line:
+                chunk.append((line_number, line))
+            if chunk and line_number % _LOAD_CHUNK == 0:
+                last_id = self._load_chunk(chunk, source, last_id)
+                chunk = []
+        if chunk:
+            last_id = self._load_chunk(chunk, source, last_id)
+        self._next_id = last_id + 1
+        if len(self._data):
+            self._appends.inc(len(self._data))
+
+    def _load_chunk(self, chunk: list[tuple[int, str]], source: str,
+                    last_id: int) -> int:
+        """Append one chunk of numbered, stripped, non-empty lines after
+        record *last_id*; return the last record id appended."""
+        found = _canonical_columns([line for _, line in chunk], last_id)
+        if found is not None:
+            self._data.append_columns(*found)
+            return found[0][0][-1]
+        # Any other chunk: the record constructor canonicalises or rejects
+        # each line, and the first bad line is the one named.
+        for line_number, line in chunk:
             try:
-                data = _decode_line(line)
-                # A canonical line (every line a dump writes) is checked
-                # and appended from as it is, with the domain the check
-                # derived; any other line goes through the constructor,
-                # which canonicalises or rejects it.
-                if _is_canonical(data):
-                    domain = _check_record(data)
-                else:
-                    record = ImpressionRecord(**data)
-                    data, domain = vars(record), record.domain
+                record = ImpressionRecord(**_decode_line(line))
             except (json.JSONDecodeError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"{source}:{line_number}: bad record: {exc}") from exc
-            record_id = data["record_id"]
+            record_id = record.record_id
             if record_id == last_id:
                 raise ValueError(
                     f"{source}:{line_number}: duplicate record id "
@@ -866,12 +957,9 @@ class ImpressionStore:
                 raise ValueError(
                     f"{source}:{line_number}: record ids must be strictly "
                     f"increasing ({record_id} after {last_id})")
-            append(data, domain)
+            self._data.append_record(record)
             last_id = record_id
-            added += 1
-        self._next_id = last_id + 1
-        if added:
-            self._appends.inc(added)
+        return last_id
 
     @classmethod
     def loads_jsonl(cls, text: str,

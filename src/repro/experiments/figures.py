@@ -53,7 +53,7 @@ class Figure1:
 def figure1(result: ExperimentResult,
             spotlight: str = FIGURE1_SPOTLIGHT) -> Figure1:
     """Figure 1's Venn counts."""
-    audit = BrandSafetyAudit(result.dataset)
+    audit = result.dataset.audit(BrandSafetyAudit)
     return Figure1(
         aggregate=audit.venn(None),
         spotlight_id=spotlight,
@@ -90,7 +90,7 @@ class Figure2:
 def figure2(result: ExperimentResult,
             campaign_ids: tuple[str, ...] = FIGURE2_CAMPAIGNS) -> Figure2:
     """Figure 2's distributions over Alexa-rank log buckets."""
-    audit = PopularityAudit(result.dataset)
+    audit = result.dataset.audit(PopularityAudit)
     distributions = tuple(audit.distribution(campaign_id)
                           for campaign_id in campaign_ids)
     edges = list(distributions[0].bucket_edges) if distributions else []
@@ -132,7 +132,7 @@ class Figure3:
 
 def figure3(result: ExperimentResult) -> Figure3:
     """Figure 3's scatter and headline counts."""
-    audit = FrequencyAudit(result.dataset)
+    audit = result.dataset.audit(FrequencyAudit)
     summary = audit.summary(None)
     return Figure3(
         points=tuple(audit.scatter_series(None)),

@@ -52,7 +52,7 @@ def table1(result: ExperimentResult) -> tuple[Headers, Rows]:
 
 def table2(result: ExperimentResult) -> tuple[Headers, Rows]:
     """Table 2: contextually meaningful impressions, audit vs vendor."""
-    audit = ContextAudit(result.dataset)
+    audit = result.dataset.audit(ContextAudit)
     headers = ["Campaign ID", "Auditing Methodology (% impressions)",
                "AdWords-like Report (% impressions)"]
     rows: Rows = []
@@ -65,7 +65,7 @@ def table2(result: ExperimentResult) -> tuple[Headers, Rows]:
 
 def table3(result: ExperimentResult) -> tuple[Headers, Rows]:
     """Table 3: fraction of impressions exposed >= 1 s."""
-    audit = ViewabilityAudit(result.dataset)
+    audit = result.dataset.audit(ViewabilityAudit)
     headers = ["Campaign ID", "View >= 1s"]
     rows: Rows = [[outcome.campaign_id, str(outcome.viewable_upper_bound)]
                   for outcome in audit.table()]
@@ -74,7 +74,7 @@ def table3(result: ExperimentResult) -> tuple[Headers, Rows]:
 
 def table4(result: ExperimentResult) -> tuple[Headers, Rows]:
     """Table 4: data-center traffic statistics per campaign."""
-    audit = FraudAudit(result.dataset)
+    audit = result.dataset.audit(FraudAudit)
     headers = ["Campaign ID", "% of Cloud Provider IPs",
                "% of Impressions delivered to Cloud IPs",
                "% of Publishers showing ads to Cloud IPs"]

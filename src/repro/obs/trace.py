@@ -408,6 +408,61 @@ class NullTracer(Tracer):
         return
 
 
+def _note_key(name: str, attrs: dict[str, object]) -> tuple:
+    """A note's name and packable attributes as a dictionary key that
+    tells apart values which compare equal but read differently
+    (``True``, ``1`` and ``1.0``; ``0.0`` and ``-0.0``)."""
+    return (name, *[(key, type(value),
+                     repr(value) if type(value) is float else value)
+                    for key, value in attrs.items()])
+
+
+@dataclass
+class _SealedNotes:
+    """Notes annotated onto sealed traces, one row per note in annotation
+    order: the trace's position, the note's instant, and the index in
+    ``table`` of its ``(name, attrs)``, each distinct pair stored once."""
+
+    positions: array = field(default_factory=lambda: array("I"))
+    instants: array = field(default_factory=lambda: array("d"))
+    kinds: array = field(default_factory=lambda: array("I"))
+    table: list[tuple[str, dict]] = field(default_factory=list)
+    kind_of: dict[tuple, int] = field(default_factory=dict)
+    #: Lazy sorted ``position << 32 | row`` keys; :meth:`add` drops them.
+    _index: Optional[array] = field(default=None, compare=False)
+
+    def add(self, position: int, name: str, at: float,
+            attrs: dict[str, object]) -> None:
+        """Keep one note; *attrs* must be packable (see :func:`_packable`)
+        and *at* is kept as a float."""
+        key = _note_key(name, attrs)
+        kind = self.kind_of.get(key)
+        if kind is None:
+            kind = self.kind_of[key] = len(self.table)
+            self.table.append((name, attrs))
+        self.positions.append(position)
+        self.instants.append(at)
+        self.kinds.append(kind)
+        self._index = None
+
+    def blob(self, position: int) -> Optional[bytes]:
+        """One position's notes as a notes blob, None when it has none."""
+        if not self.positions:
+            return None
+        if self._index is None:
+            self._index = array("Q", sorted(
+                [spot << 32 | row for row, spot in enumerate(self.positions)]))
+        keys = self._index
+        at = bisect_left(keys, position << 32)
+        notes = []
+        while at < len(keys) and keys[at] >> 32 == position:
+            row = keys[at] & 0xFFFFFFFF
+            name, attrs = self.table[self.kinds[row]]
+            notes.append((name, self.instants[row], attrs))
+            at += 1
+        return marshal.dumps(notes) if notes else None
+
+
 @dataclass
 class FlightRecorder:
     """Bounded head/tail trace retention — the in-memory black box.
@@ -436,7 +491,7 @@ class FlightRecorder:
     #: annotated onto those traces by position (which never moves).
     _segments: list[tuple] = field(default_factory=list)
     _sealed: int = 0
-    _notes: dict[int, bytes] = field(default_factory=dict)
+    _notes: _SealedNotes = field(default_factory=_SealedNotes)
     #: Lazy sorted ``record_id << 32 | position`` keys; any commit or
     #: absorb invalidates them (tail evictions shift live positions).
     _record_index: Optional[array] = field(default=None, repr=False)
@@ -488,8 +543,9 @@ class FlightRecorder:
     def _opened(self, segment: tuple, position: int, entry: tuple) -> tuple:
         """One sealed entry as read: ids shifted, later notes appended."""
         trace_id, scope, impression, campaign, record, *packed = entry
-        if position in self._notes:
-            packed[1:] = [_noted(*packed[1:], self._notes[position])]
+        notes = self._notes.blob(position)
+        if notes is not None:
+            packed[1:] = [_noted(*packed[1:], notes)]
         return (trace_id, scope, impression + segment[4], campaign,
                 None if record is None else record + segment[5], *packed)
 
@@ -573,10 +629,10 @@ class FlightRecorder:
         position = self._position(record_id)
         if position is None:
             return False
-        note = marshal.dumps([(name, at, _packable(attrs))])
         if position < self._sealed:
-            self._notes[position] = _noted(self._notes.get(position), note)
+            self._notes.add(position, name, at, _packable(attrs))
             return True
+        note = marshal.dumps([(name, at, _packable(attrs))])
         live, index = self._live(position)
         live[index] = live[index][:6] + (_noted(*live[index][6:], note),)
         return True

@@ -9,6 +9,7 @@ tables — without pulling in numpy for the core library.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -109,20 +110,23 @@ def cumulative_fractions(counts: Sequence[int]) -> list[float]:
     return fractions
 
 
+@dataclass(frozen=True)
 class Fraction2:
     """A ratio rendered as a two-decimal percentage — the papers' table unit.
 
     Keeps numerator/denominator so downstream code can re-aggregate, while
-    ``str()`` gives the display form (``'57.00 %'``).
+    ``str()`` gives the display form (``'57.00 %'``).  Immutable, so the
+    memoised audit results that hold one can be shared.
     """
 
-    def __init__(self, numerator: int, denominator: int) -> None:
-        if denominator < 0 or numerator < 0:
+    numerator: int
+    denominator: int
+
+    def __post_init__(self) -> None:
+        if self.denominator < 0 or self.numerator < 0:
             raise ValueError("counts must be non-negative")
-        if numerator > denominator:
+        if self.numerator > self.denominator:
             raise ValueError("numerator cannot exceed denominator")
-        self.numerator = numerator
-        self.denominator = denominator
 
     @property
     def value(self) -> float:
@@ -141,11 +145,3 @@ class Fraction2:
 
     def __repr__(self) -> str:
         return f"Fraction2({self.numerator}/{self.denominator} = {self})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Fraction2):
-            return NotImplemented
-        return (self.numerator, self.denominator) == (other.numerator, other.denominator)
-
-    def __hash__(self) -> int:
-        return hash((self.numerator, self.denominator))

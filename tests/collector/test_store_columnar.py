@@ -500,6 +500,15 @@ def test_dump_loads_without_building_records(small_result, monkeypatch):
     assert loaded.dumps_jsonl() == text
 
 
+def test_sealed_user_keys_are_one_string_per_user(small_result):
+    # A sealed store hands out its seal-time user-key strings, so the
+    # memoised frequency points, which live as long as their dataset,
+    # hold no string of their own.
+    keys = [key for key, in small_result.dataset.store.select(
+        None, "user_key")]
+    assert len({id(key) for key in keys}) == len(set(keys)) < len(keys)
+
+
 def test_sealed_store_memory_budget(small_result):
     # A loaded and sealed store holds about 340-360 B of Python heap per
     # record; a list of record dataclasses holds about 1,000.  The budget
@@ -566,8 +575,21 @@ def test_packed_trace_memory_budget(small_result):
 def test_sealed_trace_memory_budget(small_result):
     # What the merged recorder holds between reads: each shard's traces as
     # one compressed segment (about 180 B a trace), the enrich notes kept
-    # beside it (about 160 B) and the record index (about 15 B): about
-    # 360 B.  Holding every trace as a packed entry costs about 1.4 KB.
+    # beside it (about 25 B) and the record index (about 15 B): about
+    # 210 B.  Holding every trace as a packed entry costs about 1.4 KB.
     recorder = small_result.recorder
     assert len(recorder)
     assert held_bytes([recorder]) / len(recorder) <= 400
+
+
+def test_sealed_trace_notes_budget(small_result):
+    # The enrich notes on merged traces, read once so that their lazy
+    # position index is built: a position, an instant and a kind per note
+    # plus the index key, about 27 B; each distinct (name, attrs) is held
+    # once.  One marshal blob of notes per trace costs about 160 B.
+    recorder = small_result.recorder
+    recorder.traces()
+    notes = recorder._notes
+    annotated = len(set(notes.positions))
+    assert annotated
+    assert held_bytes([notes]) / annotated <= 48

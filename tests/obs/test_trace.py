@@ -280,6 +280,35 @@ class TestFlightRecorder:
                     "enrich.geo")] for trace in held.traces()}
             assert noted == {1: [], 3: ["DE"], 4: []}
 
+    def test_sealed_notes_keep_values_that_compare_equal_apart(self):
+        # Notes on sealed traces share one table entry per distinct
+        # (name, attrs); True, 1 and 1.0, or 0.0 and -0.0, compare equal
+        # but read differently, so each must keep its own entry.
+        recorder = FlightRecorder(head=None, tail=0)
+        for index in range(1, 7):
+            recorder.record(self.make_trace(index))
+        merged = FlightRecorder(head=None, tail=0)
+        merged.absorb(recorder.seal(), impression_offset=0, record_offset=0)
+        values = {1: True, 2: 1, 3: 1.0, 4: 0.0, 5: -0.0, 6: True}
+        for record, value in values.items():
+            assert merged.annotate(record, "enrich.geo", at=2.5, flag=value)
+        assert merged.annotate(6, "enrich.asn", at=3.0, flag=1)
+        read = {trace.record_id: [(span.name, span.attr("flag"))
+                                  for span in trace.spans[1:]]
+                for trace in merged.traces()}
+        assert read == {
+            1: [("enrich.geo", "true")], 2: [("enrich.geo", "1")],
+            3: [("enrich.geo", "1")], 4: [("enrich.geo", "0")],
+            5: [("enrich.geo", "-0")],
+            6: [("enrich.geo", "true"), ("enrich.asn", "1")]}
+        assert [type(attrs["flag"]) for _, attrs in merged._notes.table] \
+            == [bool, int, float, float, float, int]
+        # A note added after a read is found by the next one.
+        assert merged.annotate(1, "enrich.asn", at=4.0, flag=2)
+        assert [(span.name, span.attr("flag")) for span
+                in merged.find_by_record(1).spans[1:]] \
+            == [("enrich.geo", "true"), ("enrich.asn", "2")]
+
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             FlightRecorder(head=-1)
