@@ -185,8 +185,7 @@ def run_explain(argv: list[str]) -> int:
         paper_experiment(seed=args.seed, scale=args.scale),
         jobs=args.jobs).run()
 
-    record = next((candidate for candidate in result.dataset.store
-                   if candidate.record_id == args.record_id), None)
+    record = result.dataset.store.by_id(args.record_id)
     if record is None:
         print(f"record #{args.record_id} is not in the collected dataset "
               f"(it holds {len(result.dataset.store)} records at this "

@@ -5,6 +5,10 @@ country, data-center status) and is *then* anonymised with hashing.  The
 enricher performs exactly that pass over a collected store: it resolves
 each record's IP against the GeoIP database, the deny list cascade and the
 ranking service, then replaces the raw IP with a salted token.
+
+The store's columns are the only copy of the verdicts: a trace's
+``enrich.geo`` span is joined from them when the trace is read (see
+:class:`repro.obs.trace.TraceArchive`).
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from repro.collector.store import ImpressionStore
 from repro.geo.ipdb import GeoIpDatabase, IpRecord
 from repro.geo.resolver import DataCenterResolver, DcVerdict
-from repro.obs.trace import FlightRecorder
 from repro.util.hashing import anonymize_ip
 from repro.web.ranking import RankingService
 
@@ -21,16 +24,11 @@ class Enricher:
     """Fills IP-derived columns and anonymises the dataset in place."""
 
     def __init__(self, ipdb: GeoIpDatabase, resolver: DataCenterResolver,
-                 ranking: RankingService, salt: str = "adaudit",
-                 recorder: FlightRecorder | None = None) -> None:
+                 ranking: RankingService, salt: str = "adaudit") -> None:
         self.ipdb = ipdb
         self.resolver = resolver
         self.ranking = ranking
         self.salt = salt
-        # Enrichment runs after the shard merge, on the assembled store,
-        # so it extends already-committed traces via recorder annotation
-        # rather than through a live tracer.
-        self.recorder = recorder
         # ip → (geo record, cascade verdict, anonymised token).  The same
         # device produces many impressions, so each distinct address runs
         # the trie walk + deny-list cascade + salted hash exactly once per
@@ -60,8 +58,7 @@ class Enricher:
         record view, let alone a replacement frozen dataclass per record.
         """
         enriched = 0
-        for index, record_id, ip, domain, timestamp in \
-                store.pending_enrichment():
+        for index, ip, domain in store.pending_enrichment():
             ip_record, verdict, ip_token = self._resolve_ip(ip)
             rank = self.ranking.rank_of(domain)
             store.enrich_at(
@@ -73,12 +70,5 @@ class Enricher:
                 is_datacenter=verdict.is_datacenter,
                 dc_stage=verdict.stage.value,
             )
-            if self.recorder is not None:
-                self.recorder.annotate(
-                    record_id, "enrich.geo", at=timestamp,
-                    country=ip_record.country if ip_record else "",
-                    provider=ip_record.provider if ip_record else "",
-                    datacenter=verdict.is_datacenter,
-                    stage=verdict.stage.value)
             enriched += 1
         return enriched

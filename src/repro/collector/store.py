@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import chain
 from math import isfinite
@@ -233,7 +234,8 @@ class _ColumnData:
     column, the numeric ``array`` columns, and the presence/tri-state
     byte columns for the nullable fields.  It is also the unit that
     crosses process boundaries: :meth:`payload` flattens it to a plain
-    picklable tuple and :meth:`from_payload` rebuilds it.
+    picklable tuple and :meth:`absorb` appends one.  The interning dict
+    is dropped when the store seals, since nothing interns after that.
     """
 
     __slots__ = (
@@ -245,7 +247,7 @@ class _ColumnData:
 
     def __init__(self) -> None:
         self.strings: list[str] = []
-        self._string_index: dict[str, int] = {}
+        self._string_index: dict[str, int] | None = {}
         self.ids = array("q")
         self.timestamp = array("d")
         self.exposure = array("d")
@@ -412,38 +414,6 @@ class _ColumnData:
             array("q", self.rank), bytes(self.is_dc),
         )
 
-    @classmethod
-    def from_payload(cls, payload: tuple) -> "_ColumnData":
-        (version, count, strings, ids, timestamp, exposure, mouse_moves,
-         clicks, truncated, pixels, campaign, creative, url, domain, ua,
-         ip, ip_token, provider, country, dc_stage, rank_present, rank,
-         is_dc) = _validated_payload(payload)
-        data = cls()
-        data.strings = list(strings)
-        data._string_index = {text: index
-                              for index, text in enumerate(data.strings)}
-        data.ids = array("q", ids)
-        data.timestamp = array("d", timestamp)
-        data.exposure = array("d", exposure)
-        data.mouse_moves = array("I", mouse_moves)
-        data.clicks = array("I", clicks)
-        data.truncated = bytearray(truncated)
-        data.pixels = bytearray(pixels)
-        data.campaign = array("I", campaign)
-        data.creative = array("I", creative)
-        data.url = array("I", url)
-        data.domain = array("I", domain)
-        data.ua = array("I", ua)
-        data.ip = array("I", ip)
-        data.ip_token = array("I", ip_token)
-        data.provider = array("I", provider)
-        data.country = array("I", country)
-        data.dc_stage = array("I", dc_stage)
-        data.rank_present = bytearray(rank_present)
-        data.rank = array("q", rank)
-        data.is_dc = bytearray(is_dc)
-        return data
-
     def absorb(self, payload: tuple, first_id: int) -> int:
         """Bulk-append *payload*'s rows, re-identified from *first_id*.
 
@@ -579,10 +549,10 @@ class ImpressionStore:
         self._sealed_gauge = metrics.gauge(
             "store.sealed", help="1 once the store is frozen against writes")
         self._data = _ColumnData()
-        # seal()-built indexes: campaign intern index -> row positions /
-        # domain sets, plus each row's user key, one string per user.
-        self._campaign_rows: dict[int, array] | None = None
-        self._campaign_domains: dict[int, set[str]] | None = None
+        # seal()-built indexes: campaign id -> row positions / domain
+        # sets, plus each row's user key, one string per user.
+        self._campaign_rows: dict[str, array] | None = None
+        self._campaign_domains: dict[str, set[str]] | None = None
         self._all_domains: set[str] | None = None
         self._user_keys: list[str] | None = None
         self._user_of_row: array | None = None
@@ -705,17 +675,15 @@ class ImpressionStore:
     # ------------------------------------------------------------------ #
 
     def pending_enrichment(self) -> Iterator[tuple]:
-        """Yield ``(index, record_id, ip, domain, timestamp)`` for every
-        record whose enrichment columns are still empty (``ip_token``
-        unset), in row order — the streaming input of
+        """Yield ``(index, ip, domain)`` for every record whose enrichment
+        columns are still empty (``ip_token`` unset), in row order — the
+        streaming input of
         :meth:`repro.collector.enrich.Enricher.enrich_store`."""
         data = self._data
         strings = data.strings
         for row, token in enumerate(data.ip_token):
-            if strings[token]:
-                continue
-            yield (row, data.ids[row], strings[data.ip[row]],
-                   strings[data.domain[row]], data.timestamp[row])
+            if not strings[token]:
+                yield row, strings[data.ip[row]], strings[data.domain[row]]
 
     def enrich_at(self, index: int, *, ip_token: str, provider: str,
                   country: str, global_rank: Optional[int],
@@ -755,20 +723,26 @@ class ImpressionStore:
             campaign_domains[campaign].add(domain)
             all_domains.add(domain)
             user_of_row.append(users.setdefault(user_key, len(users)))
-        self._campaign_rows = campaign_rows
-        self._campaign_domains = campaign_domains
+        strings = self._data.strings
+        self._campaign_rows = {strings[index]: rows
+                               for index, rows in campaign_rows.items()}
+        self._campaign_domains = {strings[index]: domains
+                                  for index, domains
+                                  in campaign_domains.items()}
         self._all_domains = all_domains
+        # Keyed by campaign id, the indexes need no interning dict.
+        self._data._string_index = None
         self._user_keys = list(users)
         self._user_of_row = user_of_row
 
     def _rows_for(self, campaign_id: str) -> "array | range":
         """Row positions of one campaign: index lookup once sealed, a
         single column scan before."""
+        if self._campaign_rows is not None:
+            return self._campaign_rows.get(campaign_id, array("I"))
         index = self._data._string_index.get(campaign_id)
         if index is None:
             return array("I")
-        if self._campaign_rows is not None:
-            return self._campaign_rows.get(index, array("I"))
         column = self._data.campaign
         return array("I", (row for row, value in enumerate(column)
                            if value == index))
@@ -779,15 +753,24 @@ class ImpressionStore:
 
     def campaigns(self) -> list[str]:
         """Distinct campaign ids, in first-seen order."""
-        strings = self._data.strings
         if self._campaign_rows is not None:
-            return [strings[index] for index in self._campaign_rows]
+            return list(self._campaign_rows)
+        strings = self._data.strings
         return [strings[index]
                 for index in dict.fromkeys(self._data.campaign)]
 
     def by_campaign(self, campaign_id: str) -> list[ImpressionRecord]:
         """All records logged for one campaign."""
         return [self._data.record(row) for row in self._rows_for(campaign_id)]
+
+    def by_id(self, record_id: int) -> Optional[ImpressionRecord]:
+        """The record with one id, or None.  Bisects the increasing id
+        column, so the gapped ids of a loaded dump are found too."""
+        ids = self._data.ids
+        row = bisect_left(ids, record_id)
+        if row < len(ids) and ids[row] == record_id:
+            return self._data.record(row)
+        return None
 
     def count_for(self, campaign_id: str) -> int:
         """Number of records logged for one campaign."""
@@ -806,10 +789,7 @@ class ImpressionStore:
             strings = self._data.strings
             return {strings[index] for index in self._data.domain}
         if self._campaign_domains is not None:
-            index = self._data._string_index.get(campaign_id)
-            found = self._campaign_domains.get(index) \
-                if index is not None else None
-            return set(found) if found is not None else set()
+            return set(self._campaign_domains.get(campaign_id, ()))
         strings = self._data.strings
         domain = self._data.domain
         return {strings[domain[row]] for row in self._rows_for(campaign_id)}

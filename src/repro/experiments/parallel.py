@@ -131,7 +131,7 @@ def unpack_shard_output(blob: bytes) -> ShardOutput:
     """Unpickle a :func:`pack_shard_output` blob.
 
     The traces arrive as one sealed segment and stay so in the merged
-    recorder until read.
+    trace archive until read.
     """
     return pickle.loads(blob)
 

@@ -68,7 +68,7 @@ from repro.obs.metrics import (
     MetricsSnapshot,
 )
 from repro.obs.timing import wall_timer
-from repro.obs.trace import FlightRecorder, Tracer
+from repro.obs.trace import FlightRecorder, TraceArchive, Tracer
 from repro.taxonomy.lexicon import Lexicon, build_default_lexicon
 from repro.util.rng import RngFactory
 from repro.util.simclock import SimClock
@@ -92,9 +92,6 @@ class ExperimentResult:
     dataset: AuditDataset
     universe: PublisherUniverse
     registry: ProviderRegistry
-    collector: CollectorServer
-    network: SimulatedNetwork
-    pageview_count: int = 0
     stats: dict[str, int] = field(default_factory=dict)
     #: First-party conversion log (the paper's future-work analysis),
     #: anonymised with the same salt as the impression dataset.
@@ -106,9 +103,10 @@ class ExperimentResult:
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     #: Canonical merge of the per-shard flight recorders: one trace per
     #: retained impression, with impression/record ids rewritten to the
-    #: merged numbering.  ``python -m repro explain`` and the
-    #: ``--trace-json`` export read from here.
-    recorder: FlightRecorder = field(default_factory=FlightRecorder)
+    #: merged numbering and ``enrich.geo`` joined from the store.
+    #: ``python -m repro explain`` and the ``--trace-json`` export read
+    #: from here.
+    recorder: TraceArchive = field(default_factory=TraceArchive)
     #: Measurement-loss ledger: every ground-truth delivery classified as
     #: observed / quarantined / lost, reconciling exactly (see
     #: :mod:`repro.audit.coverage`).  Tracked unconditionally; the
@@ -654,7 +652,7 @@ class ShardMerger:
                        for plan in config.campaigns}
         self._billing = BillingLedger()
         self._store = ImpressionStore()
-        self._recorder = FlightRecorder(head=None, tail=0)
+        self._recorder = TraceArchive()
         self._impression_offset = 0
         self._record_offset = 0
         # One registry absorbing every snapshot in fold order reproduces
@@ -669,9 +667,7 @@ class ShardMerger:
         self._sums = {
             "pageviews": 0, "prefiltered": 0, "script_blocked_publisher": 0,
             "script_blocked_browser": 0, "connect_failures": 0, "clicks": 0,
-            "conversion_count": 0, "handshake_failures": 0,
-            "malformed_messages": 0, "connections_without_hello": 0,
-            "records_committed": 0,
+            "conversion_count": 0,
         }
         self._finalized = False
 
@@ -720,10 +716,6 @@ class ShardMerger:
         sums["connect_failures"] += output.connect_failures
         sums["clicks"] += output.clicks
         sums["conversion_count"] += output.conversion_count
-        sums["handshake_failures"] += output.handshake_failures
-        sums["malformed_messages"] += output.malformed_messages
-        sums["connections_without_hello"] += output.connections_without_hello
-        sums["records_committed"] += output.records_committed
 
     def fold_lost(self, scope: str, at: float = 0.0) -> None:
         """Record a shard lost to crash recovery, at its canonical slot."""
@@ -748,27 +740,14 @@ class ShardMerger:
                 refunded_eur=billing.refunded_total(campaign_id))
 
         enricher = Enricher(world.ipdb, world.resolver,
-                            world.universe.ranking, recorder=self._recorder)
+                            world.universe.ranking)
         with self._memwatch.stage("enrich"):
             enricher.enrich_store(store)
         conversions = [event.anonymized(enricher.salt)
                        for event in self._raw_conversions]
         # The dataset is shared by every memoised consumer from here on.
         store.seal()
-
-        first_start = min(period.start_unix for period in config.periods) \
-            if config.periods else 0.0
-        rngs = RngFactory(config.seed)
-        network = SimulatedNetwork(SimClock(first_start),
-                                   rngs.stream("network"))
-        network.failed_connects = sums["connect_failures"]
-        collector = CollectorServer(store)
-        collector.attach(network)
-        collector.handshake_failures = sums["handshake_failures"]
-        collector.malformed_messages = sums["malformed_messages"]
-        collector.connections_without_hello = \
-            sums["connections_without_hello"]
-        collector.records_committed = sums["records_committed"]
+        self._recorder.join_store(store)
 
         lost = tuple(self._lost)
         coverage = ExperimentCoverage(counts=self._coverage_counts,
@@ -804,15 +783,12 @@ class ShardMerger:
             dataset=dataset,
             universe=world.universe,
             registry=world.registry,
-            collector=collector,
-            network=network,
-            pageview_count=sums["pageviews"],
             conversions=conversions,
-            # The merge-phase ledger/collector/store above run on
-            # *private* registries whose bookkeeping (lump-sum billing
-            # absorption, counter re-assignment) is an artefact of
-            # merging, not of simulation — only the shard snapshots,
-            # folded in canonical plan order, make up these metrics.
+            # The merge-phase ledger and store above run on *private*
+            # registries whose bookkeeping (lump-sum billing absorption)
+            # is an artefact of merging, not of simulation — only the
+            # shard snapshots, folded in canonical plan order, make up
+            # these metrics.
             metrics=self._metrics.snapshot(),
             recorder=self._recorder,
             coverage=coverage,
@@ -827,7 +803,7 @@ class ShardMerger:
                 "prefiltered": sums["prefiltered"],
                 "script_blocked_publisher": sums["script_blocked_publisher"],
                 "script_blocked_browser": sums["script_blocked_browser"],
-                "connect_failures": network.failed_connects,
+                "connect_failures": sums["connect_failures"],
                 "clicks": sums["clicks"],
                 "conversions": sums["conversion_count"],
                 # Present only when fault handling is in play so

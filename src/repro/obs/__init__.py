@@ -52,6 +52,7 @@ from repro.obs.trace import (
     FlightRecorder,
     NullTracer,
     SpanRecord,
+    TraceArchive,
     TraceError,
     Tracer,
     TraceRecord,
@@ -106,6 +107,7 @@ __all__ = [
     "FlightRecorder",
     "NullTracer",
     "SpanRecord",
+    "TraceArchive",
     "TraceError",
     "Tracer",
     "TraceRecord",

@@ -23,9 +23,14 @@ The same two rules that keep the metrics reproducible apply here:
 * **Canonical merge.**  Each shard keeps its traces in a bounded
   head/tail-sampled :class:`FlightRecorder` whose retention is a pure
   function of the shard's own commit sequence; the experiment merge
-  folds the per-shard trace sets in canonical plan order, exactly like
+  appends the per-shard trace sets to one :class:`TraceArchive` in
+  canonical plan order, exactly like
   :class:`~repro.obs.metrics.MetricsSnapshot`.  Serial and ``--jobs N``
   runs therefore retain the identical trace set.
+
+``enrich.geo`` is never recorded: enrichment runs after the merge and
+writes its verdicts into the store, so the archive joins each read
+trace with its record's row instead.
 
 Depends only on the standard library and ``repro.util.hashing``; every
 other package may import ``repro.obs.trace`` without creating a cycle.
@@ -182,31 +187,6 @@ class TraceRecord:
         return [span for span in self.spans if span.name == name]
 
 
-def _unpack(entry: tuple, table: dict) -> TraceRecord:
-    """Turn one :class:`FlightRecorder` entry into a :class:`TraceRecord`.
-
-    Equal names, float instants (but zero: ``0.0 == -0.0``) and frozen
-    attributes are one object across the traces unpacked with *table*."""
-    share = table.setdefault
-
-    def instant(value):
-        return share(value, value) if value and type(value) is float \
-            else value
-
-    spans = [SpanRecord(span_id, parent_id, share(name, name),
-                        instant(start), instant(end),
-                        _freeze_attrs(attrs, table))
-             for span_id, parent_id, name, start, end, attrs
-             in marshal.loads(entry[5])]
-    # Annotations land as children of the root, ids after the last span.
-    for name, at, attrs in marshal.loads(entry[6]) if len(entry) > 6 else ():
-        spans.append(SpanRecord(
-            max([span.span_id for span in spans]) + 1 if spans else 0,
-            spans[0].span_id if spans else None, share(name, name),
-            instant(at), instant(at), _freeze_attrs(attrs, table)))
-    return TraceRecord(*entry[:5], tuple(spans))
-
-
 class Tracer:
     """Builds one pending trace at a time and commits it to a recorder.
 
@@ -226,8 +206,8 @@ class Tracer:
     only clears the pending flag.
 
     :meth:`commit` builds no :class:`SpanRecord`: it hands the recorder
-    the raw span rows as one ``marshal`` blob, and the recorder turns
-    them into records only when they are read.
+    the raw span rows as one ``marshal`` blob, and a :class:`TraceArchive`
+    turns them into records only when they are read.
     """
 
     def __init__(self, recorder: "FlightRecorder | None" = None,
@@ -408,76 +388,18 @@ class NullTracer(Tracer):
         return
 
 
-def _note_key(name: str, attrs: dict[str, object]) -> tuple:
-    """A note's name and packable attributes as a dictionary key that
-    tells apart values which compare equal but read differently
-    (``True``, ``1`` and ``1.0``; ``0.0`` and ``-0.0``)."""
-    return (name, *[(key, type(value),
-                     repr(value) if type(value) is float else value)
-                    for key, value in attrs.items()])
-
-
-@dataclass
-class _SealedNotes:
-    """Notes annotated onto sealed traces, one row per note in annotation
-    order: the trace's position, the note's instant, and the index in
-    ``table`` of its ``(name, attrs)``, each distinct pair stored once."""
-
-    positions: array = field(default_factory=lambda: array("I"))
-    instants: array = field(default_factory=lambda: array("d"))
-    kinds: array = field(default_factory=lambda: array("I"))
-    table: list[tuple[str, dict]] = field(default_factory=list)
-    kind_of: dict[tuple, int] = field(default_factory=dict)
-    #: Lazy sorted ``position << 32 | row`` keys; :meth:`add` drops them.
-    _index: Optional[array] = field(default=None, compare=False)
-
-    def add(self, position: int, name: str, at: float,
-            attrs: dict[str, object]) -> None:
-        """Keep one note; *attrs* must be packable (see :func:`_packable`)
-        and *at* is kept as a float."""
-        key = _note_key(name, attrs)
-        kind = self.kind_of.get(key)
-        if kind is None:
-            kind = self.kind_of[key] = len(self.table)
-            self.table.append((name, attrs))
-        self.positions.append(position)
-        self.instants.append(at)
-        self.kinds.append(kind)
-        self._index = None
-
-    def blob(self, position: int) -> Optional[bytes]:
-        """One position's notes as a notes blob, None when it has none."""
-        if not self.positions:
-            return None
-        if self._index is None:
-            self._index = array("Q", sorted(
-                [spot << 32 | row for row, spot in enumerate(self.positions)]))
-        keys = self._index
-        at = bisect_left(keys, position << 32)
-        notes = []
-        while at < len(keys) and keys[at] >> 32 == position:
-            row = keys[at] & 0xFFFFFFFF
-            name, attrs = self.table[self.kinds[row]]
-            notes.append((name, self.instants[row], attrs))
-            at += 1
-        return marshal.dumps(notes) if notes else None
-
-
 @dataclass
 class FlightRecorder:
-    """Bounded head/tail trace retention — the in-memory black box.
+    """One shard's bounded head/tail trace retention — the black box.
 
     The first ``head`` committed traces are pinned; after that the last
     ``tail`` ride a ring buffer and everything squeezed out in between is
     dropped (and counted).  Retention is a pure function of the commit
     sequence, so per-shard recorders keep identical trace sets however
-    the shards are scheduled.  ``head=None`` disables the bound — the
-    merged experiment recorder uses that, since its input is already the
-    concatenation of bounded per-shard sets in canonical plan order.
-    Live traces are kept as committed: ``(trace_id, scope, impression_id,
-    campaign_id, record_id, blob[, notes])``, span rows and :meth:`annotate`
-    notes each one ``marshal`` blob, turned into records only when read;
-    :meth:`seal` makes them one compressed segment that :meth:`absorb` keeps.
+    the shards are scheduled; ``head=None`` disables the bound.  Traces
+    are kept as committed, ``(trace_id, scope, impression_id, campaign_id,
+    record_id, blob)`` with the span rows one ``marshal`` blob, and never
+    read here: :meth:`seal` hands them on to a :class:`TraceArchive`.
     """
 
     head: Optional[int] = DEFAULT_HEAD_TRACES
@@ -486,15 +408,6 @@ class FlightRecorder:
     dropped: int = 0
     _head: list[tuple] = field(default_factory=list)
     _tail: deque = field(default_factory=deque)
-    #: Absorbed ``(start, count, blob, record_ids, impression_offset,
-    #: record_offset)`` segments, the traces they hold, and the notes
-    #: annotated onto those traces by position (which never moves).
-    _segments: list[tuple] = field(default_factory=list)
-    _sealed: int = 0
-    _notes: _SealedNotes = field(default_factory=_SealedNotes)
-    #: Lazy sorted ``record_id << 32 | position`` keys; any commit or
-    #: absorb invalidates them (tail evictions shift live positions).
-    _record_index: Optional[array] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.head is not None and self.head < 0:
@@ -506,7 +419,6 @@ class FlightRecorder:
     def keep(self, entry: tuple) -> None:
         """Retain one packed trace under the head/tail policy."""
         self.committed += 1
-        self._record_index = None
         if self.head is None or len(self._head) < self.head:
             self._head.append(entry)
             return
@@ -514,79 +426,93 @@ class FlightRecorder:
             self.dropped += 1
         self._tail.append(entry)
 
-    def record(self, trace: TraceRecord) -> None:
-        """Retain one finished trace, packed like a committed one."""
-        self.keep((trace.trace_id, trace.shard_scope, trace.impression_id,
-                   trace.campaign_id, trace.record_id, marshal.dumps([
-                       (span.span_id, span.parent_id, span.name, span.start,
-                        span.end, span.attrs) for span in trace.spans])))
-
     def seal(self) -> tuple:
         """Every retained trace as one ``(count, blob, record_ids)`` segment:
-        :meth:`entries` marshalled and compressed, and their record ids."""
-        entries = self.entries()
+        the entries in commit order, marshalled and compressed, and their
+        record ids (-1 for none)."""
+        entries = (*self._head, *self._tail)
         return (len(entries), zlib.compress(marshal.dumps(entries), 1),
                 array("q", [-1 if e[4] is None else e[4] for e in entries]))
 
+
+@dataclass
+class TraceArchive:
+    """The merged run's retained traces, read on demand.
+
+    :meth:`absorb` appends each shard's :meth:`FlightRecorder.seal`
+    segment as it is, in canonical plan order; reads decompress segments
+    and shift their ids by the shard's offsets.  Once :meth:`join_store`
+    has been given the enriched store, each read trace with a record id
+    ends in that record's ``enrich.geo`` span.
+    """
+
+    #: ``(start, count, blob, record_ids, impression_offset,
+    #: record_offset)`` per absorbed segment, and the traces they hold.
+    _segments: list[tuple] = field(default_factory=list)
+    _count: int = 0
+    #: Lazy sorted ``record_id << 32 | position`` keys; absorb drops them.
+    _record_index: Optional[array] = field(default=None, repr=False)
+    #: The enriched store (see :meth:`join_store`); the dataset owns it.
+    _store: object = field(default=None, repr=False, compare=False)
+
     def absorb(self, segment: tuple, impression_offset: int,
                record_offset: int) -> None:
-        """Append a :meth:`seal` segment as it is; reads shift its ids."""
-        self.committed += segment[0]
-        self._record_index = None
-        self._segments.append((self._sealed, *segment, impression_offset,
+        """Append a :meth:`FlightRecorder.seal` segment; reads shift its ids."""
+        self._segments.append((self._count, *segment, impression_offset,
                                record_offset))
-        self._sealed += segment[0]
+        self._count += segment[0]
+        self._record_index = None
+
+    def join_store(self, store) -> None:
+        """Read ``enrich.geo`` from *store*: anything whose ``by_id`` maps a
+        record id to its row (with ``timestamp``, ``country``, ``provider``,
+        ``is_datacenter`` and ``dc_stage``) or None."""
+        self._store = store
 
     def __len__(self) -> int:
-        return self._sealed + len(self._head) + len(self._tail)
+        return self._count
 
-    def _opened(self, segment: tuple, position: int, entry: tuple) -> tuple:
-        """One sealed entry as read: ids shifted, later notes appended."""
-        trace_id, scope, impression, campaign, record, *packed = entry
-        notes = self._notes.blob(position)
-        if notes is not None:
-            packed[1:] = [_noted(*packed[1:], notes)]
-        return (trace_id, scope, impression + segment[4], campaign,
-                None if record is None else record + segment[5], *packed)
+    def _read(self, segment: tuple, entry: tuple, table: dict) -> TraceRecord:
+        """One sealed entry as a trace: ids shifted, its record's
+        ``enrich.geo`` joined as the root's last child.  Equal names, float
+        instants (but zero: ``0.0 == -0.0``) and frozen attributes are one
+        object across the traces read with *table*."""
+        trace_id, scope, impression, campaign, record_id, blob = entry
+        share = table.setdefault
 
-    def _live(self, position: int) -> tuple:
-        """The live list (head or tail) holding one position, and its index."""
-        index = position - self._sealed
-        return (self._head, index) if index < len(self._head) \
-            else (self._tail, index - len(self._head))
+        def instant(value):
+            return share(value, value) if value and type(value) is float \
+                else value
 
-    def _at(self, position: int) -> tuple:
-        """The entry at one position, opening at most one segment."""
-        for segment in self._segments:
-            if position < segment[0] + segment[1]:
-                return self._opened(segment, position, marshal.loads(
-                    zlib.decompress(segment[2]))[position - segment[0]])
-        live, index = self._live(position)
-        return live[index]
-
-    def _entries(self):
-        for segment in self._segments:
-            for position, entry in enumerate(
-                    marshal.loads(zlib.decompress(segment[2])), segment[0]):
-                yield self._opened(segment, position, entry)
-        yield from self._head
-        yield from self._tail
-
-    def entries(self) -> tuple[tuple, ...]:
-        """Every retained trace in its packed form, in commit order."""
-        return tuple(self._entries())
+        spans = [SpanRecord(span_id, parent_id, share(name, name),
+                            instant(start), instant(end),
+                            _freeze_attrs(attrs, table))
+                 for span_id, parent_id, name, start, end, attrs
+                 in marshal.loads(blob)]
+        if record_id is not None:
+            record_id += segment[5]
+            record = None if self._store is None \
+                else self._store.by_id(record_id)
+            if record is not None:
+                at = instant(record.timestamp)
+                geo = (("country", record.country),
+                       ("provider", record.provider),
+                       ("datacenter", record.is_datacenter),
+                       ("stage", record.dc_stage))
+                # Span ids are list indexes: this one follows the last span.
+                spans.append(SpanRecord(
+                    len(spans), 0, share("enrich.geo", "enrich.geo"), at, at,
+                    _freeze_attrs(geo, table)))
+        return TraceRecord(trace_id, scope, impression + segment[4], campaign,
+                           record_id, tuple(spans))
 
     def traces(self) -> tuple[TraceRecord, ...]:
         """Every retained trace, in commit order, with equal values (names,
         instants, strings, pairs, attribute tuples) shared across them."""
         table: dict = {}
-        return tuple([_unpack(entry, table) for entry in self._entries()])
-
-    # -- lookup -------------------------------------------------------- #
-
-    def find(self, trace_id: str) -> Optional[TraceRecord]:
-        return next((_unpack(entry, {}) for entry in self._entries()
-                     if entry[0] == trace_id), None)
+        return tuple([self._read(segment, entry, table)
+                      for segment in self._segments
+                      for entry in marshal.loads(zlib.decompress(segment[2]))])
 
     def _position(self, record_id: int) -> Optional[int]:
         """Position of the last trace of one record, opening no segment."""
@@ -595,53 +521,23 @@ class FlightRecorder:
                 [(record + offset) << 32 | position
                  for start, _, _, records, _, offset in self._segments
                  for position, record in enumerate(records, start)
-                 if record >= 0] +
-                [entry[4] << 32 | position for position, entry in enumerate(
-                    [*self._head, *self._tail], self._sealed)
-                 if entry[4] is not None]))
+                 if record >= 0]))
         keys = self._record_index
         at = bisect_left(keys, (record_id + 1) << 32) - 1
         found = at >= 0 and keys[at] >> 32 == record_id
         return keys[at] & 0xFFFFFFFF if found else None
 
     def find_by_record(self, record_id: int) -> Optional[TraceRecord]:
-        """The trace that produced one collector record."""
-        position = self._position(record_id)
-        return None if position is None else _unpack(self._at(position), {})
-
-    def find_by_impression(self, impression_id: int) -> Optional[TraceRecord]:
-        """The trace of one delivered impression."""
-        return next((_unpack(entry, {}) for entry in self._entries()
-                     if entry[2] == impression_id), None)
-
-    # -- post-hoc annotation ------------------------------------------- #
-
-    def annotate(self, record_id: int, name: str, at: float,
-                 **attrs: object) -> bool:
-        """Append a span to the retained trace of one record.
-
-        Offline pipeline stages (enrichment runs after the merge, on the
-        assembled store) use this to extend committed traces; the span
-        lands as a child of the root, kept as a note in its live entry
-        (which a tail eviction moves) or beside its segment, never in a
-        span blob.  Returns False when the trace was never retained.
-        """
+        """The trace that produced one collector record, opening at most
+        one segment."""
         position = self._position(record_id)
         if position is None:
-            return False
-        if position < self._sealed:
-            self._notes.add(position, name, at, _packable(attrs))
-            return True
-        note = marshal.dumps([(name, at, _packable(attrs))])
-        live, index = self._live(position)
-        live[index] = live[index][:6] + (_noted(*live[index][6:], note),)
-        return True
-
-
-def _noted(*blobs: Optional[bytes]) -> bytes:
-    """One notes blob: the notes of every *blob* but None, in order."""
-    return marshal.dumps([note for blob in blobs if blob
-                          for note in marshal.loads(blob)])
+            return None
+        segment = next(segment for segment in self._segments
+                       if position < segment[0] + segment[1])
+        entry = marshal.loads(zlib.decompress(segment[2]))[
+            position - segment[0]]
+        return self._read(segment, entry, {})
 
 
 #: Shared do-nothing tracer for components built without one.

@@ -1,6 +1,7 @@
 """Trace export and rendering: Chrome ``trace_event`` JSON, JSONL, text.
 
-Three consumers of the flight recorder live here:
+Three consumers of the merged traces (:class:`~repro.obs.trace.TraceArchive`)
+live here:
 
 * :func:`dumps_chrome_trace` — the Chrome ``trace_event`` array format
   (``{"traceEvents": [...]}``) that ``chrome://tracing`` and Perfetto

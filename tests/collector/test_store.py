@@ -275,6 +275,21 @@ class TestPersistence:
         assert [record.record_id for record in loaded] == [2, 5, 9]
         assert loaded.next_record_id() == 10
 
+    def test_by_id_finds_gapped_ids(self):
+        store = ImpressionStore()
+        for index in range(1, 10):
+            store.insert(make_record(record_id=index,
+                                     exposure=float(index)))
+        text = "\n".join(
+            line for line in store.dumps_jsonl().splitlines()
+            if json.loads(line)["record_id"] in (2, 5, 9)) + "\n"
+        for loaded in (ImpressionStore.loads_jsonl(text),
+                       ImpressionStore.loads_jsonl(text).seal()):
+            assert [loaded.by_id(record_id).exposure_seconds
+                    for record_id in (2, 5, 9)] == [2.0, 5.0, 9.0]
+            assert [loaded.by_id(record_id) for record_id
+                    in (0, 1, 3, 8, 10)] == [None] * 5
+
     def test_loaded_store_allocates_after_max_id(self):
         store = ImpressionStore()
         store.insert(make_record(record_id=1))
@@ -357,6 +372,23 @@ class TestSealing:
         assert len(store) == 1
         assert store.campaigns() == ["Research-010"]
         assert store.dumps_jsonl()
+
+    def test_sealed_store_drops_its_interning_dict(self):
+        # Nothing interns after seal(); the campaign queries are served
+        # from indexes keyed by campaign id.
+        store = ImpressionStore()
+        for campaign, domain in (("A", "a.es"), ("B", "b.es"),
+                                 ("A", "c.es")):
+            store.insert(make_record(record_id=store.next_record_id(),
+                                     campaign=campaign, domain=domain))
+        store.seal()
+        assert store._data._string_index is None
+        assert store.campaigns() == ["A", "B"]
+        assert store.count_for("A") == 2
+        assert store.count_for("missing") == 0
+        assert store.distinct_domains("A") == {"a.es", "c.es"}
+        assert store.distinct_domains("missing") == set()
+        assert [row for row, in store.select("B", "record_id")] == [2]
 
     def test_loaded_copy_of_sealed_store_is_mutable(self):
         store = ImpressionStore()

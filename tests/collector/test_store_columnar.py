@@ -12,8 +12,10 @@ records — plus directed tests for the mutation paths (``enrich_at``,
 
 import gc
 import json
+import marshal
 import sys
 import tracemalloc
+import zlib
 from collections import deque
 from dataclasses import asdict, fields, is_dataclass
 
@@ -565,31 +567,20 @@ def test_retained_trace_memory_budget(small_result):
 
 def test_packed_trace_memory_budget(small_result):
     # A decompressed copy of the recorder's traces: one packed entry per
-    # trace, its span rows and enrich notes as marshal blobs, about
-    # 1.35 KB.  Holding the traces as records instead costs about 2.45 KB.
-    entries = small_result.recorder.entries()
+    # trace, its span rows a marshal blob, about 1.2 KB.  Holding the
+    # traces as records instead costs about 2.45 KB.
+    entries = [entry for segment in small_result.recorder._segments
+               for entry in marshal.loads(zlib.decompress(segment[2]))]
     assert entries
     assert held_bytes(entries) / len(entries) <= 1_400
 
 
 def test_sealed_trace_memory_budget(small_result):
     # What the merged recorder holds between reads: each shard's traces as
-    # one compressed segment (about 180 B a trace), the enrich notes kept
-    # beside it (about 25 B) and the record index (about 15 B): about
-    # 210 B.  Holding every trace as a packed entry costs about 1.4 KB.
+    # one compressed segment (about 178 B a trace) and the record index
+    # (about 7 B): about 185 B.  Its enrich.geo spans are joined from the
+    # store on read.  Holding every trace as a packed entry costs about
+    # 1.2 KB.
     recorder = small_result.recorder
     assert len(recorder)
     assert held_bytes([recorder]) / len(recorder) <= 400
-
-
-def test_sealed_trace_notes_budget(small_result):
-    # The enrich notes on merged traces, read once so that their lazy
-    # position index is built: a position, an instant and a kind per note
-    # plus the index key, about 27 B; each distinct (name, attrs) is held
-    # once.  One marshal blob of notes per trace costs about 160 B.
-    recorder = small_result.recorder
-    recorder.traces()
-    notes = recorder._notes
-    annotated = len(set(notes.positions))
-    assert annotated
-    assert held_bytes([notes]) / annotated <= 48

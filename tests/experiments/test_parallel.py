@@ -128,7 +128,7 @@ class TestParallelEquivalence:
         assert snapshot.counter_value("adserver.deliveries") \
             == small_result.stats["delivered"]
         assert snapshot.counter_value("collector.records_committed") \
-            == small_result.collector.records_committed
+            == small_result.stats["logged"]
         assert snapshot.counter_value("auction.our_wins") \
             == small_result.stats["delivered"]
 

@@ -16,7 +16,7 @@ from repro.experiments.config import paper_experiment
 from repro.experiments.parallel import pack_shard_output, unpack_shard_output
 from repro.experiments.runner import build_world, plan_shards, run_shard
 from repro.faults.plan import FaultPlan
-from repro.obs.trace import FlightRecorder
+from repro.obs.trace import TraceArchive
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ class TestRoundTrip:
 class TestShardShipping:
     def test_equal_trace_values_are_one_object(self, shipped):
         for _, back in shipped:
-            recorder = FlightRecorder(head=None, tail=0)
+            recorder = TraceArchive()
             recorder.absorb(back.traces, 0, 0)
             seen: dict = {}
             for trace in recorder.traces():

@@ -2,8 +2,10 @@
 
 import copy
 import json
+import marshal
 import pickle
 import pickletools
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.obs.trace import (
     FlightRecorder,
     NullTracer,
     SpanRecord,
+    TraceArchive,
     TraceError,
     Tracer,
     TraceRecord,
@@ -29,6 +32,13 @@ from repro.obs.traceio import (
 )
 
 
+def sealed_traces(recorder):
+    """What a shard recorder holds, read back through a trace archive."""
+    archive = TraceArchive()
+    archive.absorb(recorder.seal(), 0, 0)
+    return archive.traces()
+
+
 def build_trace(tracer=None, impression_id=7, record_id=3):
     tracer = tracer or Tracer(seed=11, scope="P1/DE/0")
     tracer.start("impression", at=100.0, publisher="site.example")
@@ -40,7 +50,7 @@ def build_trace(tracer=None, impression_id=7, record_id=3):
     if record_id is not None:
         tracer.set_record(record_id)
     tracer.commit()
-    return tracer.recorder.traces()[-1]
+    return sealed_traces(tracer.recorder)[-1]
 
 
 class TestTraceId:
@@ -84,7 +94,7 @@ class TestTracer:
         tracer.start("root", at=0.0, flag=True, ratio=0.25, count=3, label="x")
         tracer.set_impression(1, "C")
         tracer.commit()
-        trace = tracer.recorder.traces()[-1]
+        trace = sealed_traces(tracer.recorder)[-1]
         assert trace.root.attrs == (("flag", "true"), ("ratio", "0.25"),
                                     ("count", "3"), ("label", "x"))
         assert trace.root.attr("flag") == "true"
@@ -96,7 +106,7 @@ class TestTracer:
         tracer.begin("transport.connect", at=6.0)
         tracer.end(at=7.0)
         assert tracer.commit() is None
-        assert len(tracer.recorder) == 0
+        assert tracer.recorder.committed == 0
 
     def test_commit_without_impression_raises(self):
         tracer = Tracer(seed=1, scope="s")
@@ -115,9 +125,9 @@ class TestTracer:
         tracer.start("root", at=0.0)
         tracer.abandon()
         assert not tracer.active
-        assert len(tracer.recorder) == 0
+        assert tracer.recorder.committed == 0
         build_trace(tracer)     # a fresh start works afterwards
-        assert len(tracer.recorder) == 1
+        assert tracer.recorder.committed == 1
 
     def test_end_never_pops_the_root(self):
         tracer = Tracer(seed=1, scope="s")
@@ -126,7 +136,7 @@ class TestTracer:
         tracer.event("leaf", at=2.0)
         tracer.set_impression(1, "C")
         tracer.commit()
-        trace = tracer.recorder.traces()[-1]
+        trace = sealed_traces(tracer.recorder)[-1]
         assert trace.spans_named("leaf")[0].parent_id \
             == trace.root.span_id
 
@@ -186,7 +196,7 @@ class TestPendingTraceLaziness:
         assert [value.stringified for value in values] == [0, 0, 0, 0]
         tracer.set_impression(1, "C")
         tracer.commit()
-        trace = tracer.recorder.traces()[-1]
+        trace = sealed_traces(tracer.recorder)[-1]
         assert [value.stringified for value in values] == [1, 1, 1, 1]
         assert [span.attr("value") for span in trace.spans] \
             == ["counted"] * 4
@@ -198,116 +208,85 @@ class TestPendingTraceLaziness:
             tracer.span("x", start=2.0, end=1.0)
 
 
+def geo_row(record_id, country="DE"):
+    """The enriched store row fields the archive joins as ``enrich.geo``."""
+    return SimpleNamespace(timestamp=record_id + 0.5, country=country,
+                           provider="Acme", is_datacenter=False,
+                           dc_stage="none")
+
+
+def row_store(rows):
+    """A store stand-in: ``by_id`` over a dict of rows."""
+    return SimpleNamespace(by_id=rows.get)
+
+
 class TestFlightRecorder:
-    def make_trace(self, index):
-        return TraceRecord(
-            trace_id=f"{index:016x}", shard_scope="s", impression_id=index,
-            campaign_id="C", record_id=index,
-            spans=(SpanRecord(span_id=0, parent_id=None, name="root",
-                              start=float(index), end=float(index) + 1),))
+    def make_entry(self, index):
+        """One packed trace as ``Tracer.commit`` keeps it: a root span."""
+        return (f"{index:016x}", "s", index, "C", index, marshal.dumps(
+            [(0, None, "root", float(index), float(index) + 1, {})]))
+
+    def filled(self, recorder, indexes):
+        for index in indexes:
+            recorder.keep(self.make_entry(index))
+        return recorder
 
     def test_head_tail_retention_policy(self):
-        recorder = FlightRecorder(head=2, tail=3)
-        for index in range(1, 11):
-            recorder.record(self.make_trace(index))
-        kept = [trace.impression_id for trace in recorder.traces()]
+        recorder = self.filled(FlightRecorder(head=2, tail=3), range(1, 11))
+        kept = [trace.impression_id for trace in sealed_traces(recorder)]
         assert kept == [1, 2, 8, 9, 10]     # first head, last tail
         assert recorder.committed == 10
         assert recorder.dropped == 5
-        assert len(recorder) == 5
+        assert recorder.seal()[0] == 5
 
     def test_retention_is_a_pure_function_of_commit_order(self):
-        first = FlightRecorder(head=2, tail=2)
-        second = FlightRecorder(head=2, tail=2)
-        for index in range(1, 9):
-            first.record(self.make_trace(index))
-            second.record(self.make_trace(index))
-        assert first.traces() == second.traces()
+        first = self.filled(FlightRecorder(head=2, tail=2), range(1, 9))
+        second = self.filled(FlightRecorder(head=2, tail=2), range(1, 9))
+        assert first.seal() == second.seal()
+        assert sealed_traces(first) == sealed_traces(second)
         assert first.dropped == second.dropped
 
     def test_unbounded_head_keeps_everything(self):
-        recorder = FlightRecorder(head=None, tail=0)
-        for index in range(1, 100):
-            recorder.record(self.make_trace(index))
-        assert len(recorder) == 99
+        recorder = self.filled(FlightRecorder(head=None, tail=0),
+                               range(1, 100))
+        assert recorder.seal()[0] == 99
         assert recorder.dropped == 0
 
     def test_zero_tail_keeps_only_the_head(self):
-        recorder = FlightRecorder(head=2, tail=0)
-        for index in range(1, 6):
-            recorder.record(self.make_trace(index))
-        assert [trace.impression_id for trace in recorder.traces()] == [1, 2]
+        recorder = self.filled(FlightRecorder(head=2, tail=0), range(1, 6))
+        assert [trace.impression_id
+                for trace in sealed_traces(recorder)] == [1, 2]
         assert recorder.dropped == 3
-        assert len(recorder) == 2
+        assert recorder.seal()[0] == 2
 
     def test_lookups(self):
-        recorder = FlightRecorder(head=4, tail=4)
-        for index in range(1, 5):
-            recorder.record(self.make_trace(index))
-        assert recorder.find_by_record(3).impression_id == 3
-        assert recorder.find_by_impression(2).record_id == 2
-        assert recorder.find(f"{1:016x}").impression_id == 1
-        assert recorder.find_by_record(99) is None
-        # Lookups stay correct after more commits invalidate the index.
-        recorder.record(self.make_trace(5))
-        assert recorder.find_by_record(5).impression_id == 5
+        archive = TraceArchive()
+        archive.absorb(self.filled(FlightRecorder(), range(1, 5)).seal(),
+                       impression_offset=0, record_offset=0)
+        assert archive.find_by_record(3).impression_id == 3
+        assert archive.find_by_record(99) is None
+        # Lookups stay correct after another absorb drops the index.
+        archive.absorb(self.filled(FlightRecorder(), [1]).seal(),
+                       impression_offset=10, record_offset=4)
+        assert archive.find_by_record(5).impression_id == 11
+        assert len(archive) == 5
 
     def test_annotate_appends_child_of_root(self):
-        recorder = FlightRecorder()
-        recorder.record(self.make_trace(1))
-        assert recorder.annotate(1, "enrich.geo", at=1.5, country="DE")
-        trace = recorder.find_by_record(1)
+        # The joined enrich.geo span is the root's last child, at the
+        # record's timestamp, with the row's verdicts in a fixed order.
+        archive = TraceArchive()
+        archive.absorb(self.filled(FlightRecorder(), [1, 2]).seal(), 0, 0)
+        archive.join_store(row_store({1: geo_row(1)}))
+        trace = archive.find_by_record(1)
         added = trace.spans_named("enrich.geo")[0]
+        assert added is trace.spans[-1]
         assert added.parent_id == trace.root.span_id
-        assert added.attr("country") == "DE"
-        assert not recorder.annotate(99, "enrich.geo", at=0.0)
-
-    def test_tail_note_stays_on_its_trace_through_eviction(self):
-        # A note on a tail entry rides inside it: the eviction that
-        # shifts the ring buffer moves the note with its trace, never
-        # onto the trace that now holds the note's old position.
-        recorder = FlightRecorder(head=1, tail=2)
-        for index in (1, 2, 3):
-            recorder.record(self.make_trace(index))
-        assert recorder.annotate(3, "enrich.geo", at=3.5, country="DE")
-        recorder.record(self.make_trace(4))     # evicts 2; 3 shifts down
-        assert not recorder.annotate(2, "enrich.geo", at=2.5)
-        merged = FlightRecorder(head=None, tail=0)
-        merged.absorb(recorder.seal(), impression_offset=10, record_offset=0)
-        for held in (recorder, merged):
-            noted = {trace.impression_id % 10: [
-                span.attr("country") for span in trace.spans_named(
-                    "enrich.geo")] for trace in held.traces()}
-            assert noted == {1: [], 3: ["DE"], 4: []}
-
-    def test_sealed_notes_keep_values_that_compare_equal_apart(self):
-        # Notes on sealed traces share one table entry per distinct
-        # (name, attrs); True, 1 and 1.0, or 0.0 and -0.0, compare equal
-        # but read differently, so each must keep its own entry.
-        recorder = FlightRecorder(head=None, tail=0)
-        for index in range(1, 7):
-            recorder.record(self.make_trace(index))
-        merged = FlightRecorder(head=None, tail=0)
-        merged.absorb(recorder.seal(), impression_offset=0, record_offset=0)
-        values = {1: True, 2: 1, 3: 1.0, 4: 0.0, 5: -0.0, 6: True}
-        for record, value in values.items():
-            assert merged.annotate(record, "enrich.geo", at=2.5, flag=value)
-        assert merged.annotate(6, "enrich.asn", at=3.0, flag=1)
-        read = {trace.record_id: [(span.name, span.attr("flag"))
-                                  for span in trace.spans[1:]]
-                for trace in merged.traces()}
-        assert read == {
-            1: [("enrich.geo", "true")], 2: [("enrich.geo", "1")],
-            3: [("enrich.geo", "1")], 4: [("enrich.geo", "0")],
-            5: [("enrich.geo", "-0")],
-            6: [("enrich.geo", "true"), ("enrich.asn", "1")]}
-        assert [type(attrs["flag"]) for _, attrs in merged._notes.table] \
-            == [bool, int, float, float, float, int]
-        # A note added after a read is found by the next one.
-        assert merged.annotate(1, "enrich.asn", at=4.0, flag=2)
-        assert [(span.name, span.attr("flag")) for span
-                in merged.find_by_record(1).spans[1:]] \
-            == [("enrich.geo", "true"), ("enrich.asn", "2")]
+        assert added.start == added.end == 1.5
+        assert added.attrs == (("country", "DE"), ("provider", "Acme"),
+                               ("datacenter", "false"), ("stage", "none"))
+        assert archive.traces()[0] == trace
+        # A trace whose record the store does not hold gets no span.
+        assert not archive.find_by_record(2).spans_named("enrich.geo")
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -329,23 +308,26 @@ class TestPackedRetention:
             tracer.event("auction.decide", at=100.0, winner="C1")
             tracer.set_impression(7, "C1")
             assert tracer.commit() is None
-        assert len(tracer.recorder) == 1
-        assert tracer.recorder.traces()[0].spans[1].attr("winner") == "C1"
+        assert tracer.recorder.committed == 1
+        assert sealed_traces(tracer.recorder)[0].spans[1].attr("winner") \
+            == "C1"
 
     def test_annotate_leaves_the_span_blob_untouched(self):
+        # The join reads the store on every read and writes nothing: the
+        # segment stays as sealed, and the joined span follows the last
+        # recorded one.
         tracer = Tracer(seed=11, scope="P1/DE/0")
         build_trace(tracer)
-        (entry,) = tracer.recorder.entries()
-        assert tracer.recorder.annotate(3, "enrich.geo", at=101.5,
-                                        country="DE")
-        assert tracer.recorder.annotate(3, "enrich.asn", at=101.6, asn=1)
-        (annotated,) = tracer.recorder.entries()
-        assert annotated[:6] == entry[:6]
-        assert annotated[5] is entry[5]
-        spans = tracer.recorder.find_by_record(3).spans
+        segment = tracer.recorder.seal()
+        archive = TraceArchive()
+        archive.absorb(segment, 0, 0)
+        archive.join_store(row_store({3: geo_row(3)}))
+        spans = archive.find_by_record(3).spans
+        assert archive.traces()[0].spans == spans
         assert [(span.span_id, span.parent_id, span.name)
-                for span in spans[-2:]] == [(4, 0, "enrich.geo"),
-                                            (5, 0, "enrich.asn")]
+                for span in spans[-2:]] == [(3, 2, "ws.frame"),
+                                            (4, 0, "enrich.geo")]
+        assert archive._segments[0][1:4] == segment
 
 
 class TestPickleForm:
@@ -362,7 +344,7 @@ class TestPickleForm:
         tracer = Tracer(seed=11, scope="P1/DE/0")
         build_trace(tracer, impression_id=1)
         build_trace(tracer, impression_id=2)
-        first, second = tracer.recorder.traces()
+        first, second = sealed_traces(tracer.recorder)
         # One traces() call made equal attribute tuples one object.
         assert first.spans[2].attrs is second.spans[2].attrs
         loaded = pickle.loads(pickle.dumps(

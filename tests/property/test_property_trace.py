@@ -19,6 +19,7 @@ from repro.obs.trace import (
     _freeze_attrs,
     trace_id_for,
 )
+from tests.obs.test_trace import sealed_traces
 
 SEED, SCOPE = 5, "period/XX/0"
 
@@ -169,4 +170,4 @@ def test_lazy_tracer_commits_what_an_eager_builder_would(sequence):
         assert apply(lazy, call) == apply(eager, call), call
         assert lazy.active == eager.active
         assert lazy.now == eager.now
-    assert list(lazy.recorder.traces()) == eager.committed
+    assert list(sealed_traces(lazy.recorder)) == eager.committed

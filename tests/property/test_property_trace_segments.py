@@ -1,95 +1,95 @@
 """Property test: sealed trace segments read back as the per-trace fold.
 
 A finished shard seals its flight recorder into one compressed segment
-(``FlightRecorder.seal``) and the merge appends it whole with the
-shard's impression and record offsets (``FlightRecorder.absorb``).  The
-oracle is the fold that keeps one packed entry per trace: every
-retained entry, ids shifted, in a plain list.  For random
-commit sequences under small head/tail bounds, with ``annotate`` calls
-both before sealing (on the shard) and after (on the merge), every read
-must equal the oracle's: ``traces()``, ``entries()`` (blobs compared by
-value), ``find``, ``find_by_record`` and ``find_by_impression``.
+(``FlightRecorder.seal``) and the merge appends it whole to a
+``TraceArchive`` with the shard's impression and record offsets
+(``TraceArchive.absorb``).  The oracle is the fold that keeps one packed
+entry per trace: every retained entry, ids shifted, in a plain list,
+decoded span by span.  For random commit sequences under small
+head/tail bounds, and a random set of store rows joined on read, every
+read must equal the oracle's: ``traces()`` and ``find_by_record``, each
+trace ending in its record's ``enrich.geo`` span when the store holds
+the record.
 """
 
 import marshal
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.trace import FlightRecorder, Tracer
+from repro.obs.trace import (
+    FlightRecorder,
+    SpanRecord,
+    TraceArchive,
+    Tracer,
+    TraceRecord,
+    _attr_str,
+)
 
 record_ids = st.one_of(st.none(), st.integers(0, 7))
-note_attrs = st.dictionaries(st.sampled_from(["country", "asn"]),
-                             st.one_of(st.text(max_size=3), st.booleans()),
-                             max_size=2)
-notes = st.tuples(st.integers(0, 9), note_attrs)
-# One shard: head and tail bounds, then commits (a record id, or None)
-# interleaved with annotations (a record id and note attributes).
-shards = st.tuples(
-    st.integers(0, 3), st.integers(0, 3),
-    st.lists(st.one_of(record_ids.map(lambda record: ("commit", record)),
-                       notes.map(lambda note: ("annotate", *note))),
-             max_size=14),
-    st.integers(0, 9), st.integers(0, 9))
+# One shard: head and tail bounds, the record id (or None) of each
+# commit, then its impression and record offsets.
+shards = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                   st.lists(record_ids, max_size=14),
+                   st.integers(0, 9), st.integers(0, 9))
+rows = st.builds(SimpleNamespace,
+                 timestamp=st.floats(-1e9, 1e9),
+                 country=st.sampled_from(["", "DE", "ES"]),
+                 provider=st.text(max_size=3),
+                 is_datacenter=st.booleans(),
+                 dc_stage=st.sampled_from(["", "none", "deny_list"]))
 
 
-def run_shard(index, head, tail, steps):
-    """A shard recorder after its commits and pre-seal annotations."""
+def run_shard(index, head, tail, commits):
+    """A shard recorder after its commits."""
     tracer = Tracer(FlightRecorder(head=head, tail=tail), seed=5,
                     scope=f"P/XX/{index}")
-    impression = 0
-    for step in steps:
-        if step[0] == "annotate":
-            tracer.recorder.annotate(step[1], "enrich.geo", at=1.5,
-                                     **step[2])
-            continue
+    for impression, record in enumerate(commits):
         tracer.start("impression", at=float(impression), slot=impression)
         tracer.event("ws.frame", at=float(impression) + 0.5, ok=True)
         tracer.set_impression(impression % 5, "C1")
-        if step[1] is not None:
-            tracer.set_record(step[1])
+        if record is not None:
+            tracer.set_record(record)
         tracer.commit()
-        impression += 1
     return tracer.recorder
 
 
-class PerTraceFold:
-    """The merge that keeps one packed entry per trace, notes inside it;
-    lookups by record take the last retained trace, as a dict would."""
+def freeze(attrs):
+    return tuple([(key, _attr_str(value)) for key, value in attrs])
 
-    def __init__(self):
+
+class PerTraceFold:
+    """The merge that keeps one packed entry per trace and decodes each
+    on its own, appending the joined row's span after the last."""
+
+    def __init__(self, store):
         self.entries = []
+        self.store = store
 
     def fold(self, recorder, impression_offset, record_offset):
-        for trace_id, scope, impression, campaign, record, *rest \
-                in recorder.entries():
+        for trace_id, scope, impression, campaign, record, blob \
+                in (*recorder._head, *recorder._tail):
             self.entries.append((
                 trace_id, scope, impression + impression_offset, campaign,
-                None if record is None else record + record_offset, *rest))
-
-    def annotate(self, record_id, name, at, **attrs):
-        positions = {entry[4]: position
-                     for position, entry in enumerate(self.entries)
-                     if entry[4] is not None}
-        if record_id not in positions:
-            return False
-        entry = self.entries[positions[record_id]]
-        notes = marshal.loads(entry[6]) if len(entry) > 6 else []
-        notes.append((name, at, attrs))
-        self.entries[positions[record_id]] = \
-            entry[:6] + (marshal.dumps(notes),)
-        return True
+                None if record is None else record + record_offset, blob))
 
     def traces(self):
-        recorder = FlightRecorder(head=None, tail=0)
-        for entry in self.entries:
-            recorder.keep(entry)
-        return recorder.traces()
-
-
-def decoded(entries):
-    return [(*entry[:5], *[marshal.loads(blob) for blob in entry[5:]])
-            for entry in entries]
+        traces = []
+        for *fields, blob in self.entries:
+            spans = [SpanRecord(*row[:5], freeze(row[5].items()))
+                     for row in marshal.loads(blob)]
+            row = self.store.get(fields[4])
+            if row is not None:
+                spans.append(SpanRecord(
+                    len(spans), 0, "enrich.geo", row.timestamp,
+                    row.timestamp, freeze([
+                        ("country", row.country),
+                        ("provider", row.provider),
+                        ("datacenter", row.is_datacenter),
+                        ("stage", row.dc_stage)])))
+            traces.append(TraceRecord(*fields, tuple(spans)))
+        return tuple(traces)
 
 
 def first(traces, **match):
@@ -99,29 +99,19 @@ def first(traces, **match):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(shards, max_size=4),
-       st.lists(st.tuples(st.integers(0, 20), note_attrs), max_size=8))
-def test_sealed_segments_read_as_the_per_trace_fold(plan, late_notes):
-    sealed = FlightRecorder(head=None, tail=0)
-    oracle = PerTraceFold()
-    for index, (head, tail, steps, impressions, records) in enumerate(plan):
-        recorder = run_shard(index, head, tail, steps)
+       st.dictionaries(st.integers(0, 20), rows, max_size=12))
+def test_sealed_segments_read_as_the_per_trace_fold(plan, store):
+    sealed = TraceArchive()
+    sealed.join_store(SimpleNamespace(by_id=store.get))
+    oracle = PerTraceFold(store)
+    for index, (head, tail, commits, impressions, records) in enumerate(plan):
+        recorder = run_shard(index, head, tail, commits)
         sealed.absorb(recorder.seal(), impressions, records)
         oracle.fold(recorder, impressions, records)
-    for record, attrs in late_notes:
-        assert sealed.annotate(record, "enrich.asn", at=2.5, **attrs) \
-            == oracle.annotate(record, "enrich.asn", at=2.5, **attrs)
 
     traces = oracle.traces()
-    assert len(sealed) == sealed.committed == len(traces)
+    assert len(sealed) == len(traces)
     assert sealed.traces() == traces
-    assert decoded(sealed.entries()) == decoded(oracle.entries)
-    for trace in traces:
-        assert sealed.find(trace.trace_id) \
-            == first(traces, trace_id=trace.trace_id)
-    assert sealed.find("0" * 16) is None
     for record in range(-1, 100):
         assert sealed.find_by_record(record) \
             == first(traces[::-1], record_id=record)
-    for impression in range(-1, 100):
-        assert sealed.find_by_impression(impression) \
-            == first(traces, impression_id=impression)

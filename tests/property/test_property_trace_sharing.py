@@ -1,8 +1,7 @@
 """Property test: shared attribute freezing changes no value, only identity.
 
-``Tracer.commit`` and ``FlightRecorder.annotate`` keep attribute dicts
-raw; ``FlightRecorder.traces`` freezes them through one table per call.
-The oracle is the
+``Tracer.commit`` keeps attribute dicts raw; ``TraceArchive.traces``
+freezes them through one table per call.  The oracle is the
 per-pair freeze: ``(key, _attr_str(value))`` for every attribute, with no
 sharing.  Frozen attributes must equal it exactly — values that compare
 or hash alike (``True``, ``1``, ``1.0``; ``0.0``, ``-0.0``; ``nan``) still
@@ -21,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.trace import Tracer, _attr_str
+from tests.obs.test_trace import sealed_traces
 
 
 def per_pair_freeze(attrs: dict) -> tuple:
@@ -67,8 +67,8 @@ TYPE_TWINS = [{"v": True}, {"v": 1}, {"v": 1.0}, {"v": 0.0}, {"v": -0.0},
               {"v": math.nan}, {"v": "true", "copy": "true"}]
 
 
-def recorder_with(dicts):
-    """A recorder holding one trace per dict, attributes on two spans."""
+def traces_with(dicts):
+    """One trace per dict, attributes on two spans, sealed and read."""
     tracer = Tracer(seed=3, scope="P/XX/0")
     for index, attrs in enumerate(dicts):
         tracer.start("impression", at=float(index), **attrs)
@@ -76,14 +76,14 @@ def recorder_with(dicts):
         tracer.set_impression(index, "C1")
         tracer.set_record(index)
         tracer.commit()
-    return tracer.recorder
+    return sealed_traces(tracer.recorder)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(attr_dicts, max_size=8))
 @example(TYPE_TWINS)
 def test_commit_freezes_like_the_per_pair_oracle_and_shares(dicts):
-    traces = recorder_with(dicts).traces()
+    traces = traces_with(dicts)
     frozen = [span.attrs for trace in traces for span in trace.spans]
     assert frozen == [per_pair_freeze(attrs)
                       for attrs in dicts for _ in range(2)]
@@ -91,37 +91,17 @@ def test_commit_freezes_like_the_per_pair_oracle_and_shares(dicts):
 
 
 def test_type_twins_freeze_to_their_own_strings():
-    traces = recorder_with(TYPE_TWINS).traces()
+    traces = traces_with(TYPE_TWINS)
     assert [trace.root.attrs for trace in traces] == [
         (("v", "true"),), (("v", "1"),), (("v", "1"),), (("v", "0"),),
         (("v", "-0"),), (("v", "nan"),),
         (("v", "true"), ("copy", "true"))]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(attr_dicts, min_size=1, max_size=8),
-       st.lists(attr_dicts, max_size=8))
-@example([{}], TYPE_TWINS)
-def test_annotate_freezes_like_the_per_pair_oracle_and_shares(dicts, notes):
-    recorder = recorder_with(dicts)
-    for index, attrs in enumerate(notes):
-        assert recorder.annotate(index % len(dicts), "enrich.geo",
-                                 at=float(index), **attrs)
-    annotated = [span.attrs for trace in recorder.traces()
-                 for span in trace.spans_named("enrich.geo")]
-    by_record = [[per_pair_freeze(attrs)
-                  for index, attrs in enumerate(notes)
-                  if index % len(dicts) == record]
-                 for record in range(len(dicts))]
-    assert annotated == [attrs for notes_of in by_record
-                         for attrs in notes_of]
-    assert_shared(annotated)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(attr_dicts, min_size=1, max_size=4))
 def test_slotted_records_round_trip(dicts):
-    traces = recorder_with(dicts).traces()
+    traces = traces_with(dicts)
     for trace in traces:
         assert not hasattr(trace, "__dict__")
         for span in trace.spans:
@@ -186,12 +166,9 @@ def test_non_builtin_values_are_stringified_once_at_commit(values):
     for value in values:
         if isinstance(value, list):
             value.append(99)    # a drift after commit must not show
-    assert tracer.recorder.annotate(0, "enrich.geo", at=9.0, level=Level.LOW)
     for _ in range(2):
-        trace = tracer.recorder.traces()[0]
+        trace = sealed_traces(tracer.recorder)[0]
         assert [span.attr("value") for span in trace.spans_named(
             "ws.frame")] == expected
-        assert trace.spans_named("enrich.geo")[0].attr("level") \
-            == _attr_str(Level.LOW)
     counted = [value for value in values if isinstance(value, Counted)]
     assert all(value.calls == values.count(value) for value in counted)
