@@ -138,7 +138,6 @@ class AdServer:
         self._frequency: dict[tuple[str, str, str], int] = {}
         self._supply_matched: dict[str, int] = {}
         self._supply_examined: dict[str, int] = {}
-        self.prefiltered_pageviews = 0
         self.impressions: list[DeliveredImpression] = []
         self._pageviews_seen = self.metrics.counter(
             "adserver.pageviews", help="pageviews offered to the ad server")
@@ -214,7 +213,6 @@ class AdServer:
         """
         self._pageviews_seen.inc()
         if pageview.is_bot and rng.random() < self.policy.ivt_prefilter_rate:
-            self.prefiltered_pageviews += 1
             self._prefiltered.inc()
             return None
         now = pageview.timestamp

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.faults.quarantine import QuarantineEntry
 from repro.util.tables import render_table
@@ -338,11 +338,3 @@ def validate_coverage_document(document: Mapping) -> list[str]:
     if document.get("reconciles") is not True:
         problems.append("document does not claim reconciliation")
     return problems
-
-
-def merge_coverage(counts_list: Iterable[CoverageCounts]) -> CoverageCounts:
-    """Fold shard coverage counts in the given (canonical) order."""
-    merged = CoverageCounts()
-    for counts in counts_list:
-        merged.absorb(counts)
-    return merged

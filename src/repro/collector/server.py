@@ -155,33 +155,17 @@ class CollectorServer:
     def handshake_failures(self) -> int:
         return int(self._handshake_failures.value)
 
-    @handshake_failures.setter
-    def handshake_failures(self, value: int) -> None:
-        self._handshake_failures.value = value
-
     @property
     def malformed_messages(self) -> int:
         return int(self._malformed_messages.value)
-
-    @malformed_messages.setter
-    def malformed_messages(self, value: int) -> None:
-        self._malformed_messages.value = value
 
     @property
     def connections_without_hello(self) -> int:
         return int(self._connections_without_hello.value)
 
-    @connections_without_hello.setter
-    def connections_without_hello(self, value: int) -> None:
-        self._connections_without_hello.value = value
-
     @property
     def records_committed(self) -> int:
         return int(self._records_committed.value)
-
-    @records_committed.setter
-    def records_committed(self, value: int) -> None:
-        self._records_committed.value = value
 
     @property
     def duplicates(self) -> int:

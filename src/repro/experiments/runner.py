@@ -313,24 +313,13 @@ class ShardOutput:
     conversions: list[ConversionEvent]
     billing: dict[str, CampaignBillingSummary]
     report_aggregates: dict[str, ReportAggregate]
-    pageviews: int
-    prefiltered: int
-    script_blocked_publisher: int
-    script_blocked_browser: int
-    connect_failures: int
-    clicks: int
-    conversion_count: int
-    handshake_failures: int
-    malformed_messages: int
-    connections_without_hello: int
-    records_committed: int
     #: The shard flight recorder's retained traces as one segment
     #: (:meth:`FlightRecorder.seal`), with shard-local ids.
     traces: tuple
-    #: Immutable snapshot of the shard's private metrics registry; the
-    #: merge absorbs these in canonical plan order, like the report
-    #: aggregates, so serial and parallel runs agree field-for-field on
-    #: every sim-domain metric.
+    #: Immutable snapshot of the shard's private metrics registry, the
+    #: only carrier of its counts; the merge absorbs these in canonical
+    #: plan order, like the report aggregates, so serial and parallel runs
+    #: agree field-for-field on every sim-domain metric.
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     #: Per-(publisher, campaign) delivery/loss accounting for this shard.
     coverage: CoverageCounts = field(default_factory=CoverageCounts)
@@ -370,8 +359,6 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
     metrics = MetricsRegistry()
     shard_timer = wall_timer(metrics, "shard.wall_seconds",
                              help="host time simulating one shard")
-    pageview_counter = metrics.counter(
-        "shard.pageviews", help="pageviews simulated across all shards")
 
     recorder = FlightRecorder()
     tracer = Tracer(recorder, seed=config.seed, scope=scope)
@@ -441,13 +428,10 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
 
     conversions: list[ConversionEvent] = []
     coverage = CoverageCounts()
-    pageview_count = 0
     stream = browsing.stream(humans, bots, shard.start_unix, shard.end_unix,
                              rngs.stream(f"browse/{scope}"))
     with shard_timer.measure(), memwatch.stage("simulate"):
         for pageview in stream:
-            pageview_count += 1
-            pageview_counter.inc()
             tracer.start("impression", at=pageview.timestamp,
                          publisher=pageview.publisher.domain,
                          country=pageview.country, bot=pageview.is_bot)
@@ -476,16 +460,25 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
             if conversion is not None:
                 conversions.append(conversion)
 
-    # Post-flight: the vendor's silent fraud clawback on this shard's
-    # deliveries, then the mergeable billing/report projections.
-    metrics.counter(
-        "trace.committed",
-        help="impression traces committed to the flight recorder"
-    ).inc(recorder.committed)
-    metrics.counter(
-        "trace.dropped",
-        help="committed traces evicted by the head/tail retention bound"
-    ).inc(recorder.dropped)
+    # Post-flight: the counts kept by components without a registry,
+    # the vendor's silent fraud clawback on this shard's deliveries, then
+    # the mergeable billing/report projections.
+    for name, value, help_text in (
+            ("trace.committed", recorder.committed,
+             "impression traces committed to the flight recorder"),
+            ("trace.dropped", recorder.dropped,
+             "committed traces evicted by the head/tail retention bound"),
+            ("beacon.blocked_publisher", script.blocked_by_publisher,
+             "delivered impressions whose publisher blocked the beacon"),
+            ("beacon.blocked_browser", script.blocked_by_browser,
+             "delivered impressions whose browser blocked the beacon"),
+            ("net.connect_failures", network.failed_connects,
+             "transport connection attempts that failed"),
+            ("conversions.clicks", conversion_sim.clicks_seen,
+             "clicks on delivered impressions"),
+            ("conversions.converted", conversion_sim.conversions,
+             "clicks that converted on the advertiser's site")):
+        metrics.counter(name, help=help_text).inc(value)
 
     server.billing.apply_fraud_refunds(server.impressions,
                                        rngs.stream(f"refunds/{scope}"))
@@ -502,17 +495,6 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
         conversions=conversions,
         billing=server.billing.summaries(),
         report_aggregates=aggregates,
-        pageviews=pageview_count,
-        prefiltered=server.prefiltered_pageviews,
-        script_blocked_publisher=script.blocked_by_publisher,
-        script_blocked_browser=script.blocked_by_browser,
-        connect_failures=network.failed_connects,
-        clicks=conversion_sim.clicks_seen,
-        conversion_count=conversion_sim.conversions,
-        handshake_failures=collector.handshake_failures,
-        malformed_messages=collector.malformed_messages,
-        connections_without_hello=collector.connections_without_hello,
-        records_committed=collector.records_committed,
         metrics=metrics.snapshot(),
         traces=recorder.seal(),
         coverage=coverage,
@@ -620,6 +602,20 @@ class HeartbeatEmitter:
 # ---------------------------------------------------------------------- #
 
 
+#: Each ``ExperimentResult.stats`` entry read from the merged sim counters,
+#: in stats order; ``delivered`` (the coverage ledger), ``logged`` (the
+#: merged store) and ``lost_shards`` are filled in around them.
+_STAT_COUNTERS = {
+    "pageviews": "adserver.pageviews",
+    "prefiltered": "adserver.prefiltered",
+    "script_blocked_publisher": "beacon.blocked_publisher",
+    "script_blocked_browser": "beacon.blocked_browser",
+    "connect_failures": "net.connect_failures",
+    "clicks": "conversions.clicks",
+    "conversions": "conversions.converted",
+}
+
+
 class ShardMerger:
     """Incremental canonical-order fold of shard outputs into one result.
 
@@ -664,11 +660,6 @@ class ShardMerger:
         self._quarantine: list[QuarantineEntry] = []
         self._quarantine_dropped = 0
         self._lost: list[str] = []
-        self._sums = {
-            "pageviews": 0, "prefiltered": 0, "script_blocked_publisher": 0,
-            "script_blocked_browser": 0, "connect_failures": 0, "clicks": 0,
-            "conversion_count": 0,
-        }
         self._finalized = False
 
     def fold(self, output: ShardOutput) -> None:
@@ -677,16 +668,20 @@ class ShardMerger:
             raise RuntimeError("cannot fold into a finalized merge")
         delivered = sum(cell.delivered
                         for cell in output.coverage.cells.values())
+        records = int(output.metrics.counter_value(
+            "collector.records_committed"))
         with self._memwatch.stage("merge"):
-            self._fold(output, delivered)
+            self._fold(output, delivered, records)
         self._events.absorb(output.events, dropped=output.events_dropped)
         self._events.emit("shard.merged", at=output.shard.end_unix,
                           scope=output.shard.scope,
-                          pageviews=output.pageviews,
+                          pageviews=int(output.metrics.counter_value(
+                              "adserver.pageviews")),
                           delivered=delivered,
-                          records=output.records_committed)
+                          records=records)
 
-    def _fold(self, output: ShardOutput, delivered: int) -> None:
+    def _fold(self, output: ShardOutput, delivered: int,
+              records: int) -> None:
         for summary in output.billing.values():
             self._billing.absorb_summary(summary)
         for campaign_id, aggregate in output.report_aggregates.items():
@@ -699,7 +694,7 @@ class ShardMerger:
         self._recorder.absorb(output.traces, self._impression_offset,
                               self._record_offset)
         self._impression_offset += delivered
-        self._record_offset += output.records_committed
+        self._record_offset += records
         self._metrics.absorb(output.metrics)
         self._raw_conversions.extend(output.conversions)
         # Coverage folds in canonical order too; quarantine entries get
@@ -708,14 +703,6 @@ class ShardMerger:
         self._quarantine.extend(replace(entry, shard=output.shard.scope)
                                 for entry in output.quarantine)
         self._quarantine_dropped += output.quarantine_dropped
-        sums = self._sums
-        sums["pageviews"] += output.pageviews
-        sums["prefiltered"] += output.prefiltered
-        sums["script_blocked_publisher"] += output.script_blocked_publisher
-        sums["script_blocked_browser"] += output.script_blocked_browser
-        sums["connect_failures"] += output.connect_failures
-        sums["clicks"] += output.clicks
-        sums["conversion_count"] += output.conversion_count
 
     def fold_lost(self, scope: str, at: float = 0.0) -> None:
         """Record a shard lost to crash recovery, at its canonical slot."""
@@ -729,7 +716,6 @@ class ShardMerger:
         self._finalized = True
         config, world = self.config, self.world
         billing, store = self._billing, self._store
-        sums = self._sums
 
         reporter = VendorReporter()
         vendor_reports: dict[str, VendorReport] = {}
@@ -769,6 +755,13 @@ class ShardMerger:
         # Watermarks ride wall-domain gauges so the metrics absorb/merge
         # machinery (gauges max-merge) gives watermark semantics for free.
         self._memwatch.record_to(self._metrics)
+        # The merge-phase ledger and store above run on *private*
+        # registries whose bookkeeping (lump-sum billing absorption) is an
+        # artefact of merging, not of simulation — only the shard
+        # snapshots, folded in canonical plan order, make up these metrics.
+        metrics = self._metrics.snapshot()
+        counts = {stat: int(metrics.counter_value(name))
+                  for stat, name in _STAT_COUNTERS.items()}
         dataset = AuditDataset(
             store=store,
             campaigns=dict(self._by_id),
@@ -784,12 +777,7 @@ class ShardMerger:
             universe=world.universe,
             registry=world.registry,
             conversions=conversions,
-            # The merge-phase ledger and store above run on *private*
-            # registries whose bookkeeping (lump-sum billing absorption)
-            # is an artefact of merging, not of simulation — only the
-            # shard snapshots, folded in canonical plan order, make up
-            # these metrics.
-            metrics=self._metrics.snapshot(),
+            metrics=metrics,
             recorder=self._recorder,
             coverage=coverage,
             events=self._events,
@@ -797,15 +785,10 @@ class ShardMerger:
                 campaign_id: cell.delivered for campaign_id, cell
                 in self._coverage_counts.by_campaign().items()},
             stats={
-                "pageviews": sums["pageviews"],
+                "pageviews": counts.pop("pageviews"),
                 "delivered": totals.delivered,
                 "logged": len(store),
-                "prefiltered": sums["prefiltered"],
-                "script_blocked_publisher": sums["script_blocked_publisher"],
-                "script_blocked_browser": sums["script_blocked_browser"],
-                "connect_failures": sums["connect_failures"],
-                "clicks": sums["clicks"],
-                "conversions": sums["conversion_count"],
+                **counts,
                 # Present only when fault handling is in play so
                 # fault-free stats stay byte-identical to the historical
                 # output.

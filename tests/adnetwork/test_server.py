@@ -116,7 +116,8 @@ class TestIvtPrefilter:
         server = make_server(lexicon, ipdb, policy=policy)
         pageview = es_pageview(registry, is_bot=True)
         assert server.serve(pageview, random.Random(0)) is None
-        assert server.prefiltered_pageviews == 1
+        assert server.metrics.snapshot().counter_value(
+            "adserver.prefiltered") == 1
 
     def test_zero_prefilter_serves_bots(self, lexicon, ipdb, registry):
         policy = NetworkPolicy(ivt_prefilter_rate=0.0)

@@ -12,7 +12,6 @@ from repro.audit.coverage import (
     ExperimentCoverage,
     coverage_to_dict,
     coverage_to_json,
-    merge_coverage,
     render_coverage,
     validate_coverage_document,
 )
@@ -131,7 +130,9 @@ class TestAggregation:
         assert counts.totals().delivered == 4
 
     def test_absorb_merges_shards(self):
-        merged = merge_coverage([self.populated(), self.populated()])
+        merged = CoverageCounts()
+        for shard in (self.populated(), self.populated()):
+            merged.absorb(shard)
         assert merged.totals().delivered == 8
         assert merged.cell("b.es", "C1").lost_connect_failed == 2
         assert merged.reconciles

@@ -110,7 +110,7 @@ class TestMain:
         assert "Infinity" not in text
         assert "NaN" not in text
         parsed = json.loads(text)
-        assert parsed["sim"]["counters"]["shard.pageviews"] > 0
+        assert parsed["sim"]["counters"]["adserver.pageviews"] > 0
         assert "collector.connection_seconds" in parsed["sim"]["histograms"]
 
 

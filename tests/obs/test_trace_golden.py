@@ -1,11 +1,12 @@
-"""Golden digests of the trace exports and the sim-domain metrics.
+"""Golden digests of the trace exports, the sim-domain metrics and stats.
 
 The serial-vs-``--jobs`` trace tests compare two runs of the same code,
 so a change that moves both sides alike passes them.  These pin the
 bytes themselves: SHA-256 of the JSONL and Chrome exports, of one
 ``explain`` receipt and of the sim-domain metrics snapshot
-(``metrics.restrict(SIM).to_json()``, which no benchmark digest covers),
-for seed 2016 at the scale of the shared ``small_result`` experiment
+(``metrics.restrict(SIM).to_json()``, which no benchmark digest covers)
+and of ``repr(result.stats)``, which pins every key, value and type, for
+seed 2016 at the scale of the shared ``small_result`` experiment
 (0.03).  ``trace_jsonl_hostile`` pins the JSONL export of a serial run
 under the ``hostile`` fault plan (seed 2016, scale 0.01), the only one
 whose traces carry the fault path: ``fault.injected``, ``beacon.retry``,
@@ -44,7 +45,9 @@ GOLDEN = {
         "explain":
             "a0f8bae4a49c7089e93fe869c983c57c38ace500d33853e56980d5afac0bcf42",
         "sim_metrics":
-            "0c93852d534b9048781f51e9fb6daca1e229608e26b9cb1b2dddbd1b70450f26",
+            "8089ae1fd19c83ec4fc054ae087c30f60619457ec7a6259d1deb965bbcfd2c60",
+        "stats":
+            "f1fed4a4452400f6c66e7d5fdfc3d4bf6c386e882541a1b2cda00e5ff1a201a4",
         "trace_jsonl_hostile":
             "559a44cc8d46cd888b33adec843d7e31557251b70f24e5e8027e596a4186aa10",
     },
@@ -75,6 +78,7 @@ EXPORTS = {
     "explain": ("small_result", _receipt),
     "sim_metrics": ("small_result",
                     lambda result: result.metrics.restrict(SIM).to_json()),
+    "stats": ("small_result", lambda result: repr(result.stats)),
     "trace_jsonl_hostile": ("hostile_result", _jsonl),
 }
 
