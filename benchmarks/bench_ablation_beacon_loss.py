@@ -10,7 +10,7 @@ import dataclasses
 
 from repro.audit.brand_safety import BrandSafetyAudit
 from repro.experiments.config import paper_experiment
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments import ExperimentRunner
 from repro.util.tables import render_table
 
 ABLATION_SCALE = 0.02

@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-All table/figure benchmarks consume one memoised experiment run (the
-expensive part); each benchmark then times the analysis that regenerates
+All table/figure benchmarks consume one session-scoped experiment run
+(the expensive part); each benchmark then times the analysis that regenerates
 its table or figure and writes the rendered rows to
 ``benchmarks/output/`` so runs can be diffed against the paper and
 against each other.
@@ -17,8 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.parallel import run_paper_experiment_parallel
-from repro.experiments.runner import run_paper_experiment
+from repro.experiments import ExperimentRunner, paper_experiment
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.12"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "2016"))
@@ -35,12 +34,9 @@ def paper_result():
     rendered tables, so a benchmark run records how much simulation work
     produced its numbers and how long the shards took on this host.
     """
-    if BENCH_JOBS > 1:
-        result = run_paper_experiment_parallel(seed=BENCH_SEED,
-                                               scale=BENCH_SCALE,
-                                               jobs=BENCH_JOBS)
-    else:
-        result = run_paper_experiment(seed=BENCH_SEED, scale=BENCH_SCALE)
+    result = ExperimentRunner(
+        paper_experiment(seed=BENCH_SEED, scale=BENCH_SCALE),
+        jobs=BENCH_JOBS).run()
     _OUTPUT_DIR.mkdir(exist_ok=True)
     (_OUTPUT_DIR / "metrics.json").write_text(
         result.metrics.to_json() + "\n", encoding="utf-8")

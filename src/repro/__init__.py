@@ -47,7 +47,6 @@ from repro.experiments import (
     ExperimentRunner,
     ExperimentResult,
     paper_experiment,
-    run_paper_experiment,
 )
 
 __version__ = "1.0.0"
@@ -69,6 +68,5 @@ __all__ = [
     "ExperimentRunner",
     "ExperimentResult",
     "paper_experiment",
-    "run_paper_experiment",
     "__version__",
 ]

@@ -15,19 +15,17 @@ from repro.experiments.config import (
     paper_experiment,
 )
 from repro.experiments.runner import (
-    ExperimentRunner,
     ExperimentResult,
     ShardOutput,
     ShardSpec,
     World,
     build_world,
     plan_shards,
-    run_paper_experiment,
     run_shard,
 )
 from repro.experiments.parallel import (
+    ExperimentRunner,
     ParallelExperimentRunner,
-    run_paper_experiment_parallel,
 )
 from repro.experiments import tables, figures
 
@@ -45,8 +43,6 @@ __all__ = [
     "plan_shards",
     "run_shard",
     "ParallelExperimentRunner",
-    "run_paper_experiment_parallel",
-    "run_paper_experiment",
     "tables",
     "figures",
 ]

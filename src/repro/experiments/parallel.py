@@ -1,9 +1,12 @@
-"""Sharded parallel experiment runner.
+"""The experiment runner: one shard loop, in-process or across a pool.
 
-Runs the shard plan of :mod:`repro.experiments.runner` across worker
-processes.  The contract is strict determinism: at the same seed the
-merged result is byte-for-byte identical to the serial runner's, whatever
-``jobs`` is, because
+Runs the shard plan of :mod:`repro.experiments.runner`.  ``jobs=1`` runs
+every shard in-process, in plan order, with no pool; higher values first
+farm the shards out to worker processes.  Both go through the same
+method, and whatever the pool leaves unsettled — everything in a serial
+run, the rest after a broken pool — runs in one inline loop.  The
+contract is strict determinism: at the same seed the merged result is
+byte-for-byte identical whatever ``jobs`` is, because
 
 * the shard plan is a pure function of the config (``shard_slices`` is a
   config field, never derived from the worker count),
@@ -24,11 +27,9 @@ feeds only the fault plan's crash decision, never an RNG stream, so a
 recovered shard is byte-identical to one that never crashed.  A shard
 that exhausts its retries is marked *lost* and the run degrades
 gracefully: the merge proceeds without it and the coverage report names
-the lost scope.  Serial (``jobs=1``) and pooled execution share the same
-recovery policy, keeping their outputs identical even under crashes.
-When a broken pool forces the inline fallback, each unsettled shard
-resumes from the attempt it had already accrued — never from zero — so
-the fault plan's per-attempt crash decisions stay consistent with the
+the lost scope.  When a broken pool leaves shards to the inline loop,
+each resumes from the attempt it had already accrued — never from zero —
+so the fault plan's per-attempt crash decisions stay consistent with the
 pooled history.
 
 Three things keep the pooled hot path cheap:
@@ -58,22 +59,18 @@ output.
 from __future__ import annotations
 
 import pickle
-from collections import OrderedDict
 from concurrent import futures  # loads no pool until a pooled run
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 
-from repro.experiments.config import ExperimentConfig, paper_experiment
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
-    DEFAULT_SHARD_RETRIES,
     ExperimentResult,
     HeartbeatEmitter,
     ShardMerger,
     ShardOutput,
     ShardSpec,
     World,
-    _run_recovering,
     build_world,
-    emit_plan_events,
     plan_shards,
     run_shard,
 )
@@ -81,20 +78,26 @@ from repro.faults.plan import ShardCrashError
 from repro.obs.events import EventLog
 from repro.obs.memwatch import MemoryWatch
 
-#: Per-process world cache.  ExperimentConfig is a frozen dataclass of
-#: hashable parts, so the config itself is the key; a worker that serves
-#: several shards of one experiment builds the world exactly once.
+#: Re-execution attempts granted to a crashing shard before the runner
+#: degrades gracefully and marks it lost (inline and pooled alike).
+DEFAULT_SHARD_RETRIES = 2
+
+#: Per-process world cache holding the last config's world.
+#: ExperimentConfig is a frozen dataclass of hashable parts, so the config
+#: itself is the key; a worker that serves several shards of one
+#: experiment builds the world exactly once, and a process that runs many
+#: configs keeps only one world alive.
 _WORLD_CACHE: dict[ExperimentConfig, World] = {}
 
-#: Buffer marker for a shard that exhausted its retries in the pool.
+#: Buffer marker for a shard that exhausted its retries.
 _LOST = object()
 
 
 def _world_for(config: ExperimentConfig) -> World:
     world = _WORLD_CACHE.get(config)
     if world is None:
-        world = build_world(config)
-        _WORLD_CACHE[config] = world
+        _WORLD_CACHE.clear()
+        world = _WORLD_CACHE[config] = build_world(config)
     return world
 
 
@@ -143,14 +146,33 @@ def _run_shard_job(config: ExperimentConfig, shard: ShardSpec,
         run_shard(config, shard, _world_for(config), attempt=attempt))
 
 
+def _run_recovering(config: ExperimentConfig, shard: ShardSpec,
+                    world: World, retries: int,
+                    first_attempt: int = 0) -> ShardOutput | None:
+    """Run one shard in-process with crash recovery; None when lost.
+
+    ``first_attempt`` resumes a shard that already burned attempts in a
+    broken pool without resetting the fault plan's attempt counter.
+    """
+    for attempt in range(first_attempt, retries + 1):
+        try:
+            return run_shard(config, shard, world, attempt=attempt)
+        except ShardCrashError:
+            continue
+    return None
+
+
 class ParallelExperimentRunner:
-    """Executes one :class:`ExperimentConfig` across worker processes.
+    """Executes one :class:`ExperimentConfig`; deterministic in its seed.
 
     ``jobs=1`` (the default) runs every shard in-process with no
-    executor involved — the serial fallback.  Higher values bound the
-    worker-process count (capped at the shard count).  ``shard_retries``
-    bounds the crash-recovery re-executions granted to each shard before
-    it is marked lost.
+    executor involved.  Higher values bound the worker-process count
+    (capped at the shard count).  ``shard_retries`` bounds the
+    crash-recovery re-executions granted to each shard before it is
+    marked lost.  ``events`` (optional) collects the run's telemetry
+    journal; when ``heartbeat_interval`` is also set (seconds),
+    wall-domain ``runner.heartbeat`` events ride along — both default
+    off, so plain runs pay nothing.
     """
 
     def __init__(self, config: ExperimentConfig, jobs: int = 1,
@@ -172,47 +194,42 @@ class ParallelExperimentRunner:
         shards = plan_shards(config)
         events = self.events if self.events is not None else EventLog()
         memwatch = MemoryWatch()
-        emit_plan_events(events, shards)
+        # The sim channel opens with the full plan in canonical order: an
+        # auditor reading the NDJSON export sees what was *scheduled*
+        # before what *happened*.
+        for shard in shards:
+            events.emit("shard.planned", at=shard.start_unix,
+                        scope=shard.scope, period=shard.period_name,
+                        country=shard.country, slice=shard.slice_index,
+                        weight=shard.weight)
         heartbeat = HeartbeatEmitter(self.events, self.heartbeat_interval,
                                      shards, jobs=self.jobs)
         # Built before the pool exists: forked workers inherit it.
         with memwatch.stage("world_build"):
             world = _world_for(config)
         merger = ShardMerger(config, world, events=events, memwatch=memwatch)
-        if self.jobs <= 1 or len(shards) <= 1:
-            done_weight = 0.0
-            for done, shard in enumerate(shards):
-                heartbeat.pulse(done, done_weight, running=1,
-                                queued=len(shards) - done - 1)
-                output = _run_recovering(config, shard, world,
-                                         self.shard_retries, run=run_shard)
-                if output is None:
-                    merger.fold_lost(shard.scope, at=shard.end_unix)
-                else:
-                    merger.fold(output)
-                done_weight += shard.weight
-            heartbeat.pulse(len(shards), done_weight, force=True)
-        else:
-            self._run_pooled(shards, world, merger, heartbeat)
+        self._run_shards(shards, world, merger, heartbeat)
         return merger.result()
 
-    def _run_pooled(self, shards: list[ShardSpec], world: World,
+    def _run_shards(self, shards: list[ShardSpec], world: World,
                     merger: ShardMerger,
                     heartbeat: HeartbeatEmitter) -> None:
-        """Fan shards out to a warm process pool, folding as they settle.
+        """Run every shard, folding each as soon as plan order allows.
 
-        Settled shards are buffered as pickled bytes and folded into
-        ``merger`` the moment canonical plan order allows — the merge
-        overlaps with still-running shards instead of waiting for all of
-        them.  Crashed shards are resubmitted with an incremented
-        attempt; if the pool itself breaks, the unsettled shards finish
-        inline, each resuming from its recorded attempt.
+        With more than one worker the shards first fan out to a warm
+        process pool; settled shards are buffered as pickled bytes and
+        folded into ``merger`` the moment canonical plan order allows —
+        the merge overlaps with still-running shards instead of waiting
+        for all of them.  Crashed shards are resubmitted with an
+        incremented attempt.  Whatever the pool did not settle (every
+        shard of a serial run, the rest after a broken pool) then runs
+        inline in plan order, each from its recorded attempt, and is
+        folded before the next starts, so an inline run buffers no shard
+        outputs.
         """
         config = self.config
         workers = min(self.jobs, len(shards))
-        submit_order = sorted(range(len(shards)),
-                              key=lambda i: (-shards[i].weight, i))
-        # index -> pickled bytes | ShardOutput (inline fallback) | _LOST
+        # index -> pickled bytes | ShardOutput (inline) | _LOST
         ready: dict[int, object] = {}
         attempts = [0] * len(shards)
         settled = [False] * len(shards)
@@ -240,91 +257,60 @@ class ParallelExperimentRunner:
                     merger.fold(item)
                 next_fold += 1
 
-        try:
-            with futures.ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=_pool_context(),
-                    initializer=_warm_worker,
-                    initargs=(config,)) as pool:
-                pending = {
-                    pool.submit(_run_shard_job, config, shards[index],
-                                0): (index, 0)
-                    for index in submit_order}
-                while pending:
-                    # The timeout keyword only appears when heartbeats are
-                    # on: tests stub ``wait`` with a two-argument fake, and
-                    # the plain path should match the historical call shape.
-                    if heartbeat.enabled:
-                        done, _ = wait(pending,
-                                       timeout=heartbeat.interval,
+        if workers > 1:
+            submit_order = sorted(range(len(shards)),
+                                  key=lambda i: (-shards[i].weight, i))
+            timeout = heartbeat.interval if heartbeat.enabled else None
+            try:
+                with futures.ProcessPoolExecutor(
+                        max_workers=workers,
+                        mp_context=_pool_context(),
+                        initializer=_warm_worker,
+                        initargs=(config,)) as pool:
+                    pending = {
+                        pool.submit(_run_shard_job, config, shards[index],
+                                    0): (index, 0)
+                        for index in submit_order}
+                    while pending:
+                        done, _ = wait(pending, timeout=timeout,
                                        return_when=FIRST_COMPLETED)
                         running = min(len(pending), workers)
                         heartbeat.pulse(settled_count, settled_weight,
                                         running=running,
                                         queued=len(pending) - running,
                                         merge_buffer=len(ready))
-                    else:
-                        done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index, attempt = pending.pop(future)
-                        try:
-                            settle(index, future.result())
-                        except ShardCrashError:
-                            if attempt < self.shard_retries:
-                                attempts[index] = attempt + 1
-                                retry = pool.submit(
-                                    _run_shard_job, config,
-                                    shards[index], attempt + 1)
-                                pending[retry] = (index, attempt + 1)
-                            else:
-                                settle(index, _LOST)
-                    fold_ready()
-        except BrokenExecutor:
-            # The pool died under us (a worker was killed hard).  Finish
-            # the unsettled shards in-process — slower, never wrong.
-            pass
-        for index in range(len(shards)):
-            if not settled[index]:
-                output = _run_recovering(config, shards[index], world,
-                                         self.shard_retries,
-                                         first_attempt=attempts[index],
-                                         run=run_shard)
-                settle(index, _LOST if output is None else output)
-        fold_ready()
+                        for future in done:
+                            index, attempt = pending.pop(future)
+                            try:
+                                settle(index, future.result())
+                            except ShardCrashError:
+                                if attempt < self.shard_retries:
+                                    attempts[index] = attempt + 1
+                                    retry = pool.submit(
+                                        _run_shard_job, config,
+                                        shards[index], attempt + 1)
+                                    pending[retry] = (index, attempt + 1)
+                                else:
+                                    settle(index, _LOST)
+                        fold_ready()
+            except BrokenExecutor:
+                # The pool died under us (a worker was killed hard).  The
+                # inline loop finishes the unsettled shards — slower,
+                # never wrong.
+                pass
+        for index, shard in enumerate(shards):
+            if settled[index]:
+                continue
+            heartbeat.pulse(settled_count, settled_weight, running=1,
+                            queued=len(shards) - settled_count - 1,
+                            merge_buffer=len(ready))
+            output = _run_recovering(config, shard, world,
+                                     self.shard_retries,
+                                     first_attempt=attempts[index])
+            settle(index, _LOST if output is None else output)
+            fold_ready()
         heartbeat.pulse(settled_count, settled_weight, force=True)
 
 
-#: Memo for :func:`run_paper_experiment_parallel`, keyed on
-#: ``(seed, scale)`` only — ``jobs`` changes how fast the result arrives,
-#: never its bytes, so different worker counts share one cache entry.
-_RESULT_MEMO: OrderedDict[tuple[int, float], ExperimentResult] = OrderedDict()
-_RESULT_MEMO_MAX = 4
-
-
-def run_paper_experiment_parallel(seed: int = 2016, scale: float = 1.0,
-                                  jobs: int = 1) -> ExperimentResult:
-    """Parallel (and memoised) variant of ``run_paper_experiment``.
-
-    Returns a result byte-identical to the serial function at the same
-    (seed, scale); ``jobs`` only changes how fast it arrives — which is
-    why it is deliberately *not* part of the memo key.
-    """
-    key = (seed, scale)
-    found = _RESULT_MEMO.get(key)
-    if found is not None:
-        _RESULT_MEMO.move_to_end(key)
-        return found
-    result = ParallelExperimentRunner(
-        paper_experiment(seed=seed, scale=scale), jobs=jobs).run()
-    _RESULT_MEMO[key] = result
-    while len(_RESULT_MEMO) > _RESULT_MEMO_MAX:
-        _RESULT_MEMO.popitem(last=False)
-    return result
-
-
-def _clear_result_memo() -> None:
-    """Test hook: forget memoised experiment results."""
-    _RESULT_MEMO.clear()
-
-
-run_paper_experiment_parallel.cache_clear = _clear_result_memo
+#: The runner's public name; ``jobs=1`` takes the inline loop with no pool.
+ExperimentRunner = ParallelExperimentRunner

@@ -10,19 +10,18 @@ Execution is structured as a *shard pipeline*: the experiment is split
 into independent shards — one per (flight period, country, population
 slice) — each simulated with its own scoped RNG streams, ad server and
 collector, and the per-shard outputs are merged deterministically into
-one :class:`ExperimentResult`.  The serial runner executes the shards
-in-process, one after another; the parallel runner
-(:mod:`repro.experiments.parallel`) farms the very same shards out to
-worker processes.  Because both paths run identical shard code and merge
-in identical canonical order, their outputs are byte-for-byte equal at
-the same seed — the determinism contract the equivalence tests enforce.
+one :class:`ExperimentResult`.  This module holds the shard plan, the
+shard simulation and the merge; the runner
+(:mod:`repro.experiments.parallel`) executes the plan in-process or
+across worker processes.  Every shard runs the same code and the merge
+folds in canonical plan order, so outputs are byte-for-byte equal at the
+same seed for any worker count — the determinism contract the
+equivalence tests enforce.
 """
 
 from __future__ import annotations
 
-import functools
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from repro.adnetwork.billing import BillingLedger, CampaignBillingSummary
@@ -43,11 +42,7 @@ from repro.beacon.script import BeaconScript
 from repro.collector.enrich import Enricher
 from repro.collector.server import CollectorServer
 from repro.collector.store import ImpressionStore
-from repro.experiments.config import (
-    ExperimentConfig,
-    PeriodPlan,
-    paper_experiment,
-)
+from repro.experiments.config import ExperimentConfig, PeriodPlan
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import ShardCrashError
 from repro.faults.quarantine import QuarantineEntry
@@ -79,10 +74,6 @@ from repro.web.users import PopulationConfig, UserPopulation
 
 _SECONDS_PER_DAY = 86_400.0
 
-#: Re-execution attempts granted to a crashing shard before the runner
-#: degrades gracefully and marks it lost (serial and parallel alike).
-DEFAULT_SHARD_RETRIES = 2
-
 
 @dataclass
 class ExperimentResult:
@@ -98,7 +89,7 @@ class ExperimentResult:
     conversions: list[ConversionEvent] = field(default_factory=list)
     #: Canonical merge of the per-shard metrics snapshots.  The sim-domain
     #: portion is a pure function of (config, seed) — identical between
-    #: the serial and parallel runners; the wall-domain portion carries
+    #: serial and parallel runs; the wall-domain portion carries
     #: host timings and is excluded from the determinism contract.
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     #: Canonical merge of the per-shard flight recorders: one trace per
@@ -141,7 +132,7 @@ class World:
 
     Publishers, providers, the human population and the IP intelligence
     stack are functions of (seed, scale, sizing knobs) alone, so one
-    world instance is shared by every shard — in the parallel runner it
+    world instance is shared by every shard — in a pooled run it
     is built once per worker process (and inherited copy-on-write on
     platforms that fork).
     """
@@ -505,51 +496,16 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
     )
 
 
-def _run_recovering(config: ExperimentConfig, shard: ShardSpec,
-                    world: World, retries: int = DEFAULT_SHARD_RETRIES,
-                    first_attempt: int = 0,
-                    run: Callable[..., ShardOutput] = run_shard,
-                    ) -> ShardOutput | None:
-    """Run one shard in-process with crash recovery; None when lost.
-
-    ``first_attempt`` resumes a shard that already burned attempts
-    elsewhere (a crashed-then-resubmitted shard stranded by a broken
-    pool) without resetting the fault plan's attempt counter.  *run*
-    simulates one attempt; the parallel runner passes the ``run_shard``
-    name it imported, so a wrapper installed on that name sees every
-    attempt.
-    """
-    for attempt in range(first_attempt, retries + 1):
-        try:
-            return run(config, shard, world, attempt=attempt)
-        except ShardCrashError:
-            continue
-    return None
-
-
 # ---------------------------------------------------------------------- #
 # run telemetry
 # ---------------------------------------------------------------------- #
 
 
-def emit_plan_events(events: EventLog, shards: list[ShardSpec]) -> None:
-    """Journal the canonical shard plan (one sim event per shard).
-
-    Both runners call this before executing anything, so the sim channel
-    opens with the full plan in canonical order — an auditor reading the
-    NDJSON export sees what was *scheduled* before what *happened*.
-    """
-    for shard in shards:
-        events.emit("shard.planned", at=shard.start_unix, scope=shard.scope,
-                    period=shard.period_name, country=shard.country,
-                    slice=shard.slice_index, weight=shard.weight)
-
-
 class HeartbeatEmitter:
     """Emits wall-domain ``runner.heartbeat`` events on a min interval.
 
-    Inert unless both an event log and an interval are configured, so the
-    default runners pay nothing — no clock reads, no RSS sampling.  The
+    Inert unless both an event log and an interval are configured, so a
+    default run pays nothing — no clock reads, no RSS sampling.  The
     ETA is weight-based: elapsed wall time scaled by the remaining
     fraction of the plan's total shard weight.
     """
@@ -619,7 +575,7 @@ _STAT_COUNTERS = {
 class ShardMerger:
     """Incremental canonical-order fold of shard outputs into one result.
 
-    Both runners merge through this class.  :meth:`fold` absorbs one
+    The runner merges through this class.  :meth:`fold` absorbs one
     output (which can then be garbage-collected, so no run holds every
     :class:`ShardOutput` alive at once) and :meth:`result` finalises.
     Every order-sensitive reduction — record re-identification, the trace
@@ -731,7 +687,7 @@ class ShardMerger:
             enricher.enrich_store(store)
         conversions = [event.anonymized(enricher.salt)
                        for event in self._raw_conversions]
-        # The dataset is shared by every memoised consumer from here on.
+        # Sealed: every consumer of a shared result sees the same dataset.
         store.seal()
         self._recorder.join_store(store)
 
@@ -796,62 +752,3 @@ class ShardMerger:
                    if (config.faults.active or lost) else {}),
             },
         )
-
-
-class ExperimentRunner:
-    """Executes one :class:`ExperimentConfig` in-process.
-
-    ``events`` (optional) collects the run's telemetry journal; when
-    ``heartbeat_interval`` is also set (seconds), wall-domain
-    ``runner.heartbeat`` events are emitted as shards complete — both
-    default off, so plain runs pay nothing.
-    """
-
-    def __init__(self, config: ExperimentConfig,
-                 events: EventLog | None = None,
-                 heartbeat_interval: float | None = None) -> None:
-        self.config = config
-        self.events = events
-        self.heartbeat_interval = heartbeat_interval
-
-    def run(self) -> ExperimentResult:
-        """Run the whole experiment; deterministic in the config's seed.
-
-        Crashing shards (only an active fault plan can make one crash)
-        are retried up to :data:`DEFAULT_SHARD_RETRIES` extra times, then
-        marked lost — the same graceful degradation the parallel runner
-        applies, so serial and parallel agree even on lost shards.
-        """
-        config = self.config
-        events = self.events if self.events is not None else EventLog()
-        memwatch = MemoryWatch()
-        shards = plan_shards(config)
-        emit_plan_events(events, shards)
-        heartbeat = HeartbeatEmitter(self.events, self.heartbeat_interval,
-                                     shards)
-        with memwatch.stage("world_build"):
-            world = build_world(config)
-        merger = ShardMerger(config, world, events=events, memwatch=memwatch)
-        done_weight = 0.0
-        for done, shard in enumerate(shards):
-            heartbeat.pulse(done, done_weight, running=1,
-                            queued=len(shards) - done - 1)
-            output = _run_recovering(config, shard, world)
-            if output is None:
-                merger.fold_lost(shard.scope, at=shard.end_unix)
-            else:
-                merger.fold(output)
-            done_weight += shard.weight
-        heartbeat.pulse(len(shards), done_weight, force=True)
-        return merger.result()
-
-
-@functools.lru_cache(maxsize=4)
-def run_paper_experiment(seed: int = 2016,
-                         scale: float = 1.0) -> ExperimentResult:
-    """Run (and memoise) the paper's 8-campaign experiment.
-
-    All table/figure benchmarks at the same (seed, scale) share one run;
-    the result's store is sealed, so no caller can contaminate another.
-    """
-    return ExperimentRunner(paper_experiment(seed=seed, scale=scale)).run()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.config import paper_experiment
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments import ExperimentRunner
 
 
 @pytest.fixture(scope="session")

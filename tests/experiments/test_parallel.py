@@ -17,12 +17,8 @@ import pytest
 from repro.collector.store import StoreSealedError
 from repro.experiments import figures, tables
 from repro.experiments.config import ExperimentConfig, paper_experiment
-from repro.experiments.parallel import ParallelExperimentRunner
-from repro.experiments.runner import (
-    ExperimentRunner,
-    plan_shards,
-    run_paper_experiment,
-)
+from repro.experiments import ExperimentRunner, ParallelExperimentRunner
+from repro.experiments.runner import ShardMerger, plan_shards
 from tests.collector.test_store import make_record
 
 
@@ -284,25 +280,6 @@ class TestRunTelemetry:
             == plain.metrics.sim_only().to_json()
 
 
-class TestParallelMemo:
-    def test_jobs_is_not_part_of_the_memo_key(self):
-        # Regression: the memo used to key on (seed, scale, jobs), so
-        # jobs=1 and jobs=2 stored duplicate byte-identical results and
-        # missed each other's cache.  The result is a pure function of
-        # (seed, scale); jobs only changes how fast it arrives.
-        from repro.experiments.parallel import run_paper_experiment_parallel
-
-        run_paper_experiment_parallel.cache_clear()
-        try:
-            first = run_paper_experiment_parallel(seed=99, scale=0.01,
-                                                  jobs=1)
-            second = run_paper_experiment_parallel(seed=99, scale=0.01,
-                                                   jobs=2)
-            assert second is first
-        finally:
-            run_paper_experiment_parallel.cache_clear()
-
-
 class TestSerialRunImports:
     def test_serial_run_loads_no_process_pool(self):
         # A jobs=1 run never builds a pool, so it should not pay for
@@ -320,6 +297,51 @@ class TestSerialRunImports:
                                  capture_output=True, text=True, timeout=300)
         assert process.returncode == 0, process.stderr
         assert process.stdout.strip().splitlines()[-1] == "[]"
+
+
+class TestOneRunner:
+    def test_experiment_runner_is_the_one_runner(self):
+        import repro
+
+        assert repro.ExperimentRunner is ExperimentRunner \
+            is ParallelExperimentRunner
+
+    def test_serial_run_folds_each_shard_before_the_next(self, monkeypatch):
+        # Guards a serial run's peak memory: a loop that folded at the
+        # end would hold every shard output alive at once.
+        from repro.experiments import parallel as parallel_module
+
+        calls = []
+        real_run_shard = parallel_module.run_shard
+        real_fold = ShardMerger.fold
+
+        def recording_run_shard(cfg, shard, world, attempt=0):
+            calls.append(("run", shard.scope))
+            return real_run_shard(cfg, shard, world, attempt=attempt)
+
+        def recording_fold(merger, output):
+            calls.append(("fold", output.shard.scope))
+            real_fold(merger, output)
+
+        monkeypatch.setattr(parallel_module, "run_shard", recording_run_shard)
+        monkeypatch.setattr(ShardMerger, "fold", recording_fold)
+        config = paper_experiment(seed=2016, scale=0.005)
+        ExperimentRunner(config, jobs=1).run()
+        assert calls == [(step, shard.scope) for shard in plan_shards(config)
+                         for step in ("run", "fold")]
+
+    def test_world_cache_keeps_only_the_last_world(self, monkeypatch):
+        from repro.experiments import parallel as parallel_module
+
+        monkeypatch.setattr(parallel_module, "_WORLD_CACHE", {})
+        monkeypatch.setattr(parallel_module, "build_world",
+                            lambda config: object())
+        first, second = (paper_experiment(seed=seed, scale=0.01)
+                         for seed in (1, 2))
+        world = parallel_module._world_for(first)
+        assert parallel_module._world_for(first) is world
+        parallel_module._world_for(second)
+        assert list(parallel_module._WORLD_CACHE) == [second]
 
 
 class TestBrokenPoolAttemptThreading:
@@ -386,7 +408,8 @@ class TestBrokenPoolAttemptThreading:
                             FakePool)
         monkeypatch.setattr(
             parallel_module, "wait",
-            lambda pending, return_when=None: (set(pending), set()))
+            lambda pending, timeout=None, return_when=None:
+            (set(pending), set()))
 
         result = ParallelExperimentRunner(config, jobs=2,
                                           shard_retries=3).run()
@@ -418,19 +441,16 @@ class TestDeterminism:
 
 
 class TestDatasetLifecycle:
-    def test_memoised_result_cannot_be_contaminated(self):
-        # Regression: run_paper_experiment memoises the result object, and
-        # its store used to be mutable — one caller's insert corrupted
-        # every later caller's (supposedly identical) dataset.
-        first = run_paper_experiment(seed=77, scale=0.01)
-        size = len(first.dataset.store)
+    def test_memoised_result_cannot_be_contaminated(self, small_result):
+        # Regression: a shared result's store used to be mutable — one
+        # caller's insert corrupted every later caller's (supposedly
+        # identical) dataset.  The session fixture is shared the same way.
+        store = small_result.dataset.store
+        size = len(store)
         with pytest.raises(StoreSealedError):
-            first.dataset.store.insert(make_record(
-                record_id=first.dataset.store.next_record_id(),
-                ip="", ip_token="f" * 16))
-        second = run_paper_experiment(seed=77, scale=0.01)
-        assert second is first
-        assert len(second.dataset.store) == size
+            store.insert(make_record(record_id=store.next_record_id(),
+                                     ip="", ip_token="f" * 16))
+        assert len(store) == size
 
     def test_session_fixture_store_is_sealed(self, small_result):
         assert small_result.dataset.store.sealed

@@ -65,7 +65,7 @@ class TestRunnerOutputs:
         assert small_result.stats["prefiltered"] > 0
 
     def test_deterministic_given_seed(self, small_config):
-        from repro.experiments.runner import ExperimentRunner
+        from repro.experiments import ExperimentRunner
 
         again = ExperimentRunner(small_config).run()
         first_ids = [record.url for record in again.dataset.store][:50]

@@ -23,7 +23,8 @@ from repro.audit.coverage import (
 )
 from repro.experiments.config import paper_experiment
 from repro.experiments.parallel import ParallelExperimentRunner
-from repro.experiments.runner import ExperimentRunner, plan_shards
+from repro.experiments import ExperimentRunner
+from repro.experiments.runner import plan_shards
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import SIM
 

@@ -26,7 +26,7 @@ import sys
 import pytest
 
 from repro.experiments.config import paper_experiment
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments import ExperimentRunner
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import SIM
 from repro.obs.traceio import (

@@ -13,7 +13,7 @@ neither ``traces()`` nor ``find_by_record``.
 import pytest
 
 from repro.experiments.config import paper_experiment
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments import ExperimentRunner
 from repro.faults.plan import FaultPlan
 
 

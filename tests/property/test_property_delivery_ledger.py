@@ -2,10 +2,10 @@
 
 The merged result counts deliveries from the coverage ledger, which each
 shard fills with one ``record_delivered`` per served impression.  The
-shards' ``ReportAggregate.total_impressions`` count the same deliveries
-independently, from the ad server's impression list, so the ledger-derived
-``stats["delivered"]`` and ``delivered(campaign_id)`` must equal their
-sums under every fault preset.
+vendor reports' ``total_impressions`` count the same deliveries
+independently — each merges the shards' report aggregates, built from the
+ad server's impression list — so the ledger-derived ``stats["delivered"]``
+and ``delivered(campaign_id)`` must equal them under every fault preset.
 
 The same runs check the pipeline's conservation laws: each quantity that
 two stages count on their own (ad server, auction, billing and flight
@@ -14,40 +14,22 @@ conversion simulator and conversion log; shard plan and merge) comes out
 equal in the merged metrics snapshot, ``stats`` and the event journal.
 """
 
+import functools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adnetwork.conversions import ConversionConfig, ConversionSimulator
+from repro.experiments import ExperimentRunner
 from repro.experiments.config import paper_experiment
-from repro.experiments.runner import (
-    ShardMerger,
-    build_world,
-    emit_plan_events,
-    plan_shards,
-    run_shard,
-)
 from repro.faults.plan import FaultPlan
-from repro.obs.events import EventLog
 
 
-def _merged_run(seed, preset, scale):
-    """Run every shard and merge; returns (result, per-campaign totals)."""
-    config = paper_experiment(seed=seed, scale=scale,
-                              faults=FaultPlan.preset(preset))
-    world = build_world(config)
-    shards = plan_shards(config)
-    events = EventLog()
-    emit_plan_events(events, shards)
-    merger = ShardMerger(config, world, events=events)
-    totals: Counter = Counter()
-    for shard in shards:
-        output = run_shard(config, shard, world)
-        for campaign_id, aggregate in output.report_aggregates.items():
-            totals[campaign_id] += aggregate.total_impressions
-        merger.fold(output)
-    return merger.result(), totals
+def _run(seed, preset, scale):
+    return ExperimentRunner(paper_experiment(
+        seed=seed, scale=scale, faults=FaultPlan.preset(preset))).run()
 
 
 def _assert_conservation_laws(result):
@@ -73,7 +55,9 @@ def _assert_conservation_laws(result):
 @given(seed=st.integers(min_value=0, max_value=2**16),
        preset=st.sampled_from(("none", "flaky", "hostile")))
 def test_ledger_counts_equal_report_aggregate_totals(seed, preset):
-    result, totals = _merged_run(seed, preset, scale=0.002)
+    result = _run(seed, preset, scale=0.002)
+    totals = {campaign_id: report.total_impressions for campaign_id, report
+              in result.dataset.vendor_reports.items()}
 
     assert sum(totals.values()) > 0
     assert result.stats["delivered"] == sum(totals.values())
@@ -91,5 +75,22 @@ def test_ledger_counts_equal_report_aggregate_totals(seed, preset):
                    "unique: 1,659 stored records against 1,655 unique "
                    "deliveries")
 def test_stored_records_equal_unique_deliveries_under_bit_flips():
-    result, _ = _merged_run(2016, "hostile", scale=0.01)
+    result = _run(2016, "hostile", scale=0.01)
     assert result.stats["logged"] == result.coverage.counts.totals().unique
+
+
+def test_converted_clicks_obey_the_law_and_merge_identically(monkeypatch):
+    # At the default rate no tier-1 run converts a click, so the conversion
+    # log's merge is only exercised with every human click converting.
+    # Forked pool workers inherit the patched simulator.
+    from repro.experiments import runner
+
+    monkeypatch.setattr(runner, "ConversionSimulator", functools.partial(
+        ConversionSimulator, ConversionConfig(human_conversion_rate=1.0)))
+    config = paper_experiment(seed=2016, scale=0.01)
+    serial = ExperimentRunner(config).run()
+    pooled = ExperimentRunner(config, jobs=2).run()
+
+    _assert_conservation_laws(serial)
+    assert serial.metrics.counter_value("conversions.converted") > 0
+    assert pooled.conversions == serial.conversions
