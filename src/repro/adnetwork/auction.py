@@ -27,10 +27,6 @@ class AuctionOutcome:
     external_bid_cpm: float
     contested: bool                  # an external bidder was present
 
-    @property
-    def our_win(self) -> bool:
-        return self.winner is not None
-
 
 class Auction:
     """Runs auctions between our campaigns and the external market."""
@@ -41,16 +37,11 @@ class Auction:
         self.external = external
         self.tracer = tracer if tracer is not None else NULL_TRACER
         metrics = metrics if metrics is not None else MetricsRegistry()
-        self._auctions_run = metrics.counter(
-            "auction.runs", help="auctions executed")
-        self._bids_evaluated = metrics.counter(
-            "auction.bids_evaluated",
-            help="candidate campaign bids entering an auction")
-        self._our_wins = metrics.counter(
-            "auction.our_wins", help="auctions won by an audited campaign")
-        self._external_wins = metrics.counter(
-            "auction.external_wins",
-            help="auctions lost to external demand or the floor")
+        self._auctions_run = metrics.counter("auction.runs")
+        self._bids_evaluated = metrics.counter("auction.bids_evaluated")
+        # Won by an audited campaign / lost to external demand or the floor.
+        self._our_wins = metrics.counter("auction.our_wins")
+        self._external_wins = metrics.counter("auction.external_wins")
 
     def run(self, request: AdRequest, candidates: Sequence[CampaignSpec],
             rng: random.Random) -> AuctionOutcome:

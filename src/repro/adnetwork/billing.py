@@ -81,14 +81,10 @@ class BillingLedger:
         self.charges: list[Charge] = []
         self.refunds: list[Refund] = []
         metrics = metrics if metrics is not None else MetricsRegistry()
-        self._charges_recorded = metrics.counter(
-            "billing.charges", help="impression charges recorded")
-        self._charged_eur = metrics.counter(
-            "billing.charged_eur", help="gross spend charged (EUR)")
-        self._refunds_recorded = metrics.counter(
-            "billing.refunds", help="refund entries recorded")
-        self._refunded_eur = metrics.counter(
-            "billing.refunded_eur", help="credits issued back (EUR)")
+        self._charges_recorded = metrics.counter("billing.charges")
+        self._charged_eur = metrics.counter("billing.charged_eur")
+        self._refunds_recorded = metrics.counter("billing.refunds")
+        self._refunded_eur = metrics.counter("billing.refunded_eur")
 
     def charge(self, campaign_id: str, impression_id: int,
                amount_eur: float, timestamp: float) -> None:
@@ -111,10 +107,6 @@ class BillingLedger:
         """Credits issued back to a campaign."""
         return sum(refund.amount_eur for refund in self.refunds
                    if refund.campaign_id == campaign_id)
-
-    def net_total(self, campaign_id: str) -> float:
-        """What the advertiser actually paid."""
-        return self.charged_total(campaign_id) - self.refunded_total(campaign_id)
 
     def summaries(self) -> dict[str, CampaignBillingSummary]:
         """Per-campaign totals, keyed and ordered by sorted campaign id."""
@@ -143,7 +135,7 @@ class BillingLedger:
 
         The detail of the source ledger is collapsed into one lump charge
         and one lump refund per campaign — all the advertiser-visible query
-        surface (``charged_total``/``refunded_total``/``net_total``) needs.
+        surface (``charged_total``/``refunded_total``) needs.
         """
         if summary.charged_eur > 0:
             self.charges.append(Charge(

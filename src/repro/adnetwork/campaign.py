@@ -60,15 +60,6 @@ class CampaignSpec:
         """The CPM bid converted to a per-impression price in euros."""
         return self.cpm_eur / 1000.0
 
-    @property
-    def duration_days(self) -> float:
-        """Flight length in (possibly fractional) days."""
-        return (self.end_unix - self.start_unix) / 86_400.0
-
-    def is_active(self, unix_time: float) -> bool:
-        """True while the flight is running at *unix_time*."""
-        return self.start_unix <= unix_time < self.end_unix
-
     def targets_country(self, country: str) -> bool:
         """True if the campaign's geo-targeting includes *country*."""
         return country in self.target_countries

@@ -32,10 +32,6 @@ class AdRequest:
         if self.floor_cpm < 0:
             raise ValueError("floor_cpm must be non-negative")
 
-    @property
-    def floor_per_impression(self) -> float:
-        return self.floor_cpm / 1000.0
-
 
 @dataclass(frozen=True)
 class ExternalDemandConfig:

@@ -36,19 +36,14 @@ class BudgetPacer:
         self.total_spend: dict[str, float] = {
             campaign.campaign_id: 0.0 for campaign in campaigns}
         metrics = metrics if metrics is not None else MetricsRegistry()
-        self._bid_checks = metrics.counter(
-            "pacing.bid_checks", help="may_bid decisions evaluated")
-        self._throttles_budget = metrics.counter(
-            "pacing.throttles_budget",
-            help="bids refused: daily budget already exhausted")
-        self._throttles_schedule = metrics.counter(
-            "pacing.throttles_schedule",
-            help="bids refused: ahead of the intraday spend schedule")
-        self._throttles_random = metrics.counter(
-            "pacing.throttles_random",
-            help="bids refused by probabilistic smoothing")
-        self._spend_recorded = metrics.counter(
-            "pacing.spend_eur", help="spend charged through the pacer (EUR)")
+        # One check per may_bid call; a refused bid counts as one
+        # throttle: daily budget exhausted, ahead of the intraday spend
+        # schedule, or probabilistic smoothing.
+        self._bid_checks = metrics.counter("pacing.bid_checks")
+        self._throttles_budget = metrics.counter("pacing.throttles_budget")
+        self._throttles_schedule = metrics.counter("pacing.throttles_schedule")
+        self._throttles_random = metrics.counter("pacing.throttles_random")
+        self._spend_recorded = metrics.counter("pacing.spend_eur")
 
     @staticmethod
     def _day_index(campaign: CampaignSpec, unix_time: float) -> int:

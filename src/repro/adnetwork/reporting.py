@@ -117,11 +117,6 @@ class VendorReport:
         return sum(row.impressions for row in self.placements
                    if row.is_anonymous)
 
-    @property
-    def placement_impressions(self) -> int:
-        """Impressions visible in placement rows (≤ total_impressions)."""
-        return sum(row.impressions for row in self.placements)
-
 
 class VendorReporter:
     """Projects ground-truth impressions into vendor reports."""

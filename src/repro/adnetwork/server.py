@@ -50,10 +50,6 @@ class DeliveredImpression:
         """What the advertiser was charged for this impression."""
         return self.clearing_cpm / 1000.0
 
-    @property
-    def publisher_domain(self) -> str:
-        return self.pageview.publisher.domain
-
 
 @dataclass(frozen=True)
 class NetworkPolicy:
@@ -139,13 +135,10 @@ class AdServer:
         self._supply_matched: dict[str, int] = {}
         self._supply_examined: dict[str, int] = {}
         self.impressions: list[DeliveredImpression] = []
-        self._pageviews_seen = self.metrics.counter(
-            "adserver.pageviews", help="pageviews offered to the ad server")
-        self._prefiltered = self.metrics.counter(
-            "adserver.prefiltered",
-            help="bot pageviews stopped by the IVT prefilter")
-        self._deliveries = self.metrics.counter(
-            "adserver.deliveries", help="impressions delivered and charged")
+        self._pageviews_seen = self.metrics.counter("adserver.pageviews")
+        # Bot pageviews stopped by the IVT prefilter.
+        self._prefiltered = self.metrics.counter("adserver.prefiltered")
+        self._deliveries = self.metrics.counter("adserver.deliveries")
 
     # ------------------------------------------------------------------ #
 

@@ -33,11 +33,6 @@ class Exposure:
         """The network's MRC viewability verdict."""
         return self.pixels_in_view and self.exposure_seconds >= 1.0
 
-    @property
-    def audit_viewable_upper_bound(self) -> bool:
-        """What the beacon can certify: exposed for at least one second."""
-        return self.exposure_seconds >= 1.0
-
 
 @dataclass(frozen=True)
 class ExposureConfig:

@@ -69,10 +69,6 @@ class AnonymousBound:
         delivered on a distinct publisher."""
         return max(0, self.unreported_publishers - self.anonymous_impressions)
 
-    @property
-    def explainable(self) -> bool:
-        return self.unexplained_publishers == 0
-
 
 class BrandSafetyAudit:
     """Publisher-coverage comparison between audit and vendor data."""

@@ -11,9 +11,8 @@ import csv
 import io
 import json
 import math
-from typing import Any, Iterable
+from typing import Any
 
-from repro.audit.conversion import ConversionResult
 from repro.audit.report import FullAuditReport
 
 
@@ -111,35 +110,6 @@ def report_to_json(report: FullAuditReport, indent: int = 2) -> str:
     """The full audit as a strict JSON document (no ``Infinity``/``NaN``)."""
     return json.dumps(report_to_dict(report), indent=indent, sort_keys=True,
                       allow_nan=False)
-
-
-def funnel_to_dicts(results: Iterable[ConversionResult]) -> list[dict[str, Any]]:
-    """The conversion funnel as JSON-serialisable rows.
-
-    ``cost_per_conversion_eur`` is ``inf`` for a campaign with zero
-    conversions; it exports as ``null`` so the document stays strict JSON.
-    """
-    return [{
-        "campaign_id": result.campaign_id,
-        "impressions": result.impressions,
-        "clicks": result.clicks,
-        "conversions": result.conversions,
-        "ctr_pct": _finite(result.ctr.pct, 2),
-        "conversion_ratio_pct": _finite(result.conversion_ratio.pct, 4),
-        "revenue_eur": _finite(result.revenue_eur, 6),
-        "spend_eur": _finite(result.spend_eur, 6),
-        "cost_per_conversion_eur": _finite(
-            result.cost_per_conversion_eur, 6),
-        "dc_clicks": result.dc_clicks,
-        "dc_conversions": result.dc_conversions,
-    } for result in results]
-
-
-def funnel_to_json(results: Iterable[ConversionResult],
-                   indent: int = 2) -> str:
-    """The conversion funnel as a strict JSON document."""
-    return json.dumps(funnel_to_dicts(results), indent=indent,
-                      sort_keys=True, allow_nan=False)
 
 
 #: Column order for the per-campaign CSV export.

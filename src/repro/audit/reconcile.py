@@ -69,9 +69,3 @@ class ReconciliationAudit:
                 0.0, fraud.estimated_cost_eur - fraud.vendor_refund_eur),
             anonymous_gap_publishers=bound.unexplained_publishers,
         )
-
-    def all_campaigns(self) -> list[Discrepancies]:
-        """Reconcile every campaign that has a vendor report."""
-        return [self.assess(campaign_id)
-                for campaign_id in self.dataset.campaign_ids
-                if campaign_id in self.dataset.vendor_reports]

@@ -77,12 +77,6 @@ class BeaconDelivery:
     #: Sim-clock instant each attempt started at (render-time first).
     attempt_instants: tuple[float, ...] = ()
 
-    @property
-    def reached_server(self) -> bool:
-        """Did the collector get at least the connection (even truncated)?"""
-        return self.status in (DeliveryStatus.DELIVERED,
-                               DeliveryStatus.DROPPED_MID_STREAM)
-
 
 @dataclass(frozen=True)
 class _Attempt:

@@ -120,52 +120,29 @@ class CollectorServer:
         self._duplicates_counter = None
         self._quarantined_counter = None
         if self.faults.active:
+            # Deliveries dedup-rejected by the beacon nonce, and malformed
+            # frames quarantined instead of killing the connection.
             self._duplicates_counter = self.metrics.counter(
-                "collector.duplicates",
-                help="deliveries dedup-rejected by the beacon nonce")
+                "collector.duplicates")
             self._quarantined_counter = self.metrics.counter(
-                "collector.quarantined_frames",
-                help="malformed frames quarantined instead of killing "
-                     "the connection")
+                "collector.quarantined_frames")
         self._handshake_failures = self.metrics.counter(
-            "collector.handshake_failures",
-            help="connections dropped during the upgrade handshake")
+            "collector.handshake_failures")
+        # Frames and payloads rejected after the handshake.
         self._malformed_messages = self.metrics.counter(
-            "collector.malformed_messages",
-            help="frames/payloads rejected after the handshake")
+            "collector.malformed_messages")
         self._connections_without_hello = self.metrics.counter(
-            "collector.connections_without_hello",
-            help="closed connections that never produced a valid HELLO")
+            "collector.connections_without_hello")
         self._records_committed = self.metrics.counter(
-            "collector.records_committed",
-            help="impression records written to the store")
+            "collector.records_committed")
         self._connections_accepted = self.metrics.counter(
-            "collector.connections_accepted",
-            help="transport connections accepted")
+            "collector.connections_accepted")
+        # Server-measured durations of committed connections.
         self._connection_seconds = self.metrics.histogram(
-            "collector.connection_seconds", CONNECTION_SECONDS_EDGES,
-            help="server-measured durations of committed connections")
+            "collector.connection_seconds", CONNECTION_SECONDS_EDGES)
+        # One observation per process() call.
         self._decode_timer = wall_timer(
-            self.metrics, "collector.decode_wall_seconds",
-            help="host time spent decoding frames per process() call")
-
-    # -- registry-backed legacy counters ------------------------------- #
-
-    @property
-    def handshake_failures(self) -> int:
-        return int(self._handshake_failures.value)
-
-    @property
-    def malformed_messages(self) -> int:
-        return int(self._malformed_messages.value)
-
-    @property
-    def connections_without_hello(self) -> int:
-        return int(self._connections_without_hello.value)
-
-    @property
-    def records_committed(self) -> int:
-        return int(self._records_committed.value)
+            self.metrics, "collector.decode_wall_seconds")
 
     @property
     def duplicates(self) -> int:

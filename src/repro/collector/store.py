@@ -23,12 +23,12 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from math import isfinite
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -347,28 +347,6 @@ class _ColumnData:
         self.is_dc.extend([_TRI_NONE if value is None else value
                            for value in is_dc])
 
-    def write_record(self, row: int, record: ImpressionRecord) -> None:
-        self.ids[row] = record.record_id
-        self.timestamp[row] = record.timestamp
-        self.exposure[row] = record.exposure_seconds
-        self.mouse_moves[row] = record.mouse_moves
-        self.clicks[row] = record.clicks
-        self.truncated[row] = int(record.truncated)
-        self.pixels[row] = self._tri(record.pixels_in_view)
-        self.campaign[row] = self.intern(record.campaign_id)
-        self.creative[row] = self.intern(record.creative_id)
-        self.url[row] = self.intern(record.url)
-        self.domain[row] = self.intern(record.domain)
-        self.ua[row] = self.intern(record.user_agent)
-        self.ip[row] = self.intern(record.ip)
-        self.ip_token[row] = self.intern(record.ip_token)
-        self.provider[row] = self.intern(record.provider)
-        self.country[row] = self.intern(record.country)
-        self.dc_stage[row] = self.intern(record.dc_stage)
-        self.rank_present[row] = 0 if record.global_rank is None else 1
-        self.rank[row] = record.global_rank or 0
-        self.is_dc[row] = self._tri(record.is_datacenter)
-
     def record(self, row: int) -> ImpressionRecord:
         return ImpressionRecord(**self.row_dict(row))
 
@@ -418,9 +396,7 @@ class _ColumnData:
         """Bulk-append *payload*'s rows, re-identified from *first_id*.
 
         String indexes are remapped through this table's interner; the
-        numeric columns extend wholesale.  Returns the row count added —
-        the raw-column equivalent of ``extend_reindexed`` without the
-        unpack-to-records-repack round trip.
+        numeric columns extend wholesale.  Returns the row count added.
         """
         (version, count, strings, ids, timestamp, exposure, mouse_moves,
          clicks, truncated, pixels, campaign, creative, url, domain, ua,
@@ -542,12 +518,11 @@ class ImpressionStore:
         self._sealed = False
         self.tracer = tracer if tracer is not None else NULL_TRACER
         metrics = metrics if metrics is not None else MetricsRegistry()
-        self._appends = metrics.counter(
-            "store.appends", help="records appended to the impression store")
-        self._replaces = metrics.counter(
-            "store.replaces", help="in-place record overwrites (enrichment)")
-        self._sealed_gauge = metrics.gauge(
-            "store.sealed", help="1 once the store is frozen against writes")
+        self._appends = metrics.counter("store.appends")
+        # store.replaces counts in-place enrichment writes; store.sealed
+        # reads 1 once the store is frozen against writes.
+        self._replaces = metrics.counter("store.replaces")
+        self._sealed_gauge = metrics.gauge("store.sealed")
         self._data = _ColumnData()
         # seal()-built indexes: campaign id -> row positions / domain
         # sets, plus each row's user key, one string per user.
@@ -574,12 +549,11 @@ class ImpressionStore:
         return self._sealed
 
     def seal(self) -> "ImpressionStore":
-        """Freeze the store: any later insert/replace raises.
+        """Freeze the store: any later write raises.
 
-        The experiment runner seals its dataset after enrichment so that a
-        memoised result shared between benchmarks cannot be contaminated by
-        one caller mutating it.  The query indexes are built here.  Returns
-        self for chaining.
+        The experiment runner seals its dataset after enrichment, so no
+        caller of a finished result can change what the audits read.  The
+        query indexes are built here.  Returns self for chaining.
         """
         if not self._sealed:
             self._build_indexes()
@@ -614,42 +588,16 @@ class ImpressionStore:
                           record=record.record_id,
                           campaign=record.campaign_id)
 
-    def replace_at(self, index: int, record: ImpressionRecord) -> None:
-        """Overwrite a record in place."""
-        self._check_mutable()
-        self._data.write_record(index, record)
-        self._replaces.inc()
-
-    def extend_reindexed(self, records: "Iterable[ImpressionRecord]") -> int:
-        """Append copies of *records* under freshly allocated ids.
-
-        The shard merge used this before the raw-column path
-        (:meth:`absorb_columns`) existed; filtered-copy workflows still
-        do.  Records are appended in iteration order; the appends counter
-        advances once for the whole batch and a single summarising
-        ``store.extend`` trace event stands in for the per-record
-        ``store.commit`` stream.  Returns the number of records added.
-        """
-        self._check_mutable()
-        first_id = self._next_id
-        added = 0
-        for record in records:
-            if record.record_id != self._next_id:
-                record = replace(record, record_id=self._next_id)
-            self._data.append_record(record)
-            self._next_id += 1
-            added += 1
-        self._note_bulk_append(added, first_id)
-        return added
-
     def absorb_columns(self, payload: tuple) -> int:
         """Bulk-append a raw-column payload under freshly allocated ids.
 
         The shard merge path: per-shard stores export their columns once
         (:meth:`export_columns`) and the merged store folds them in
-        directly — no unpack-to-records-repack round trip.  Same
-        re-identification and bulk accounting as
-        :meth:`extend_reindexed`.
+        directly — no unpack-to-records-repack round trip.  Records are
+        appended in payload order; the appends counter advances once for
+        the whole batch, and a single summarising ``store.extend`` trace
+        event stands in for the per-record ``store.commit`` stream.
+        Returns the number of records added.
         """
         self._check_mutable()
         first_id = self._next_id
@@ -776,11 +724,6 @@ class ImpressionStore:
         """Number of records logged for one campaign."""
         return len(self._rows_for(campaign_id))
 
-    def where(self, predicate: Callable[[ImpressionRecord], bool]
-              ) -> list[ImpressionRecord]:
-        """Generic filtered scan."""
-        return [record for record in self if predicate(record)]
-
     def distinct_domains(self, campaign_id: Optional[str] = None) -> set[str]:
         """Publisher domains observed (optionally for one campaign)."""
         if campaign_id is None:
@@ -793,17 +736,6 @@ class ImpressionStore:
         strings = self._data.strings
         domain = self._data.domain
         return {strings[domain[row]] for row in self._rows_for(campaign_id)}
-
-    def by_user(self, campaign_id: Optional[str] = None
-                ) -> dict[str, list[ImpressionRecord]]:
-        """Records grouped by (IP, User-Agent) user key."""
-        record = self._data.record
-        rows = range(len(self._data)) if campaign_id is None \
-            else self._rows_for(campaign_id)
-        grouped: dict[str, list[ImpressionRecord]] = {}
-        for row, user_key in zip(rows, self._column("user_key", rows)):
-            grouped.setdefault(user_key, []).append(record(row))
-        return grouped
 
     def _column(self, name: str, rows: "array | range | None") -> Iterable:
         """One ``select`` field over *rows* (every row when None), built

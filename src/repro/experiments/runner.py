@@ -348,8 +348,7 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
     scope = shard.scope
     period = _period_by_name(config, shard.period_name)
     metrics = MetricsRegistry()
-    shard_timer = wall_timer(metrics, "shard.wall_seconds",
-                             help="host time simulating one shard")
+    shard_timer = wall_timer(metrics, "shard.wall_seconds")
 
     recorder = FlightRecorder()
     tracer = Tracer(recorder, seed=config.seed, scope=scope)
@@ -451,25 +450,21 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
             if conversion is not None:
                 conversions.append(conversion)
 
-    # Post-flight: the counts kept by components without a registry,
-    # the vendor's silent fraud clawback on this shard's deliveries, then
-    # the mergeable billing/report projections.
-    for name, value, help_text in (
-            ("trace.committed", recorder.committed,
-             "impression traces committed to the flight recorder"),
-            ("trace.dropped", recorder.dropped,
-             "committed traces evicted by the head/tail retention bound"),
-            ("beacon.blocked_publisher", script.blocked_by_publisher,
-             "delivered impressions whose publisher blocked the beacon"),
-            ("beacon.blocked_browser", script.blocked_by_browser,
-             "delivered impressions whose browser blocked the beacon"),
-            ("net.connect_failures", network.failed_connects,
-             "transport connection attempts that failed"),
-            ("conversions.clicks", conversion_sim.clicks_seen,
-             "clicks on delivered impressions"),
-            ("conversions.converted", conversion_sim.conversions,
-             "clicks that converted on the advertiser's site")):
-        metrics.counter(name, help=help_text).inc(value)
+    # Post-flight: the counts kept by components without a registry
+    # (trace.dropped: committed traces evicted by the head/tail retention
+    # bound; beacon.blocked_*: delivered impressions whose publisher or
+    # browser blocked the beacon), the vendor's silent fraud clawback on
+    # this shard's deliveries, then the mergeable billing/report
+    # projections.
+    for name, value in (
+            ("trace.committed", recorder.committed),
+            ("trace.dropped", recorder.dropped),
+            ("beacon.blocked_publisher", script.blocked_by_publisher),
+            ("beacon.blocked_browser", script.blocked_by_browser),
+            ("net.connect_failures", network.failed_connects),
+            ("conversions.clicks", conversion_sim.clicks_seen),
+            ("conversions.converted", conversion_sim.conversions)):
+        metrics.counter(name).inc(value)
 
     server.billing.apply_fraud_refunds(server.impressions,
                                        rngs.stream(f"refunds/{scope}"))

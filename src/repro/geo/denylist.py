@@ -41,10 +41,6 @@ class DenyList:
         """True if *ip* falls inside any listed block."""
         return self._trie.covers(ip)
 
-    def address_count(self) -> int:
-        """Total addresses the list spans (the paper's list spans >130M)."""
-        return sum(cidr.size for cidr, _ in self._trie.items())
-
     @classmethod
     def from_registry(cls, registry: ProviderRegistry,
                       coverage: float = 0.7) -> "DenyList":

@@ -30,11 +30,6 @@ class IpRecord:
     country: str
     kind: ProviderKind
 
-    @property
-    def looks_hosted(self) -> bool:
-        """True when the owning space is data-center or VPN allocated."""
-        return self.kind in (ProviderKind.DATACENTER, ProviderKind.VPN)
-
 
 class GeoIpDatabase:
     """Longest-prefix-match database over provider allocations.

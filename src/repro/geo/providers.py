@@ -52,11 +52,6 @@ class Provider:
     blocks: tuple[Cidr, ...]
     advertises_hosting: bool = False
 
-    @property
-    def is_datacenter_space(self) -> bool:
-        """True when the space is hosted (data center or VPN-on-DC)."""
-        return self.kind in (ProviderKind.DATACENTER, ProviderKind.VPN)
-
     def random_ip(self, rng: random.Random) -> str:
         """A uniformly random address from this provider's space."""
         block = rng.choice(self.blocks)
@@ -107,7 +102,7 @@ class ProviderRegistry:
         if not 0.0 <= vpn_fraction < 1.0:
             raise ValueError("vpn_fraction must be within [0, 1)")
         self.providers: list[Provider] = []
-        self._by_name: dict[str, Provider] = {}
+        self._names: set[str] = set()
         next_access = _ACCESS_BASE
         for country in countries:
             names = list(_COUNTRY_ISP_NAMES.get(country, []))
@@ -146,20 +141,13 @@ class ProviderRegistry:
             ))
 
     def _add(self, provider: Provider) -> None:
-        if provider.name in self._by_name:
+        if provider.name in self._names:
             raise ValueError(f"duplicate provider name: {provider.name}")
         self.providers.append(provider)
-        self._by_name[provider.name] = provider
+        self._names.add(provider.name)
 
     def __len__(self) -> int:
         return len(self.providers)
-
-    def by_name(self, name: str) -> Provider:
-        """Look a provider up by exact name."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"unknown provider: {name!r}") from None
 
     def access_providers(self, country: str) -> list[Provider]:
         """Residential + mobile ISPs registered for *country*."""
@@ -172,12 +160,3 @@ class ProviderRegistry:
         kinds = {ProviderKind.DATACENTER, ProviderKind.VPN} if include_vpn \
             else {ProviderKind.DATACENTER}
         return [provider for provider in self.providers if provider.kind in kinds]
-
-    def describe(self) -> str:
-        """Short human-readable inventory (used by examples)."""
-        lines = []
-        for provider in self.providers:
-            blocks = ", ".join(str(block) for block in provider.blocks)
-            lines.append(f"{provider.name} [{provider.kind.value}, "
-                         f"{provider.country}] {blocks}")
-        return "\n".join(lines)

@@ -11,7 +11,6 @@ from repro.net.ipv4 import (
     ip_to_int,
     int_to_ip,
     parse_cidr,
-    cidr_contains,
     Cidr,
 )
 from repro.net.cidrtrie import CidrTrie
@@ -37,7 +36,6 @@ __all__ = [
     "ip_to_int",
     "int_to_ip",
     "parse_cidr",
-    "cidr_contains",
     "Cidr",
     "CidrTrie",
     "WebSocketError",

@@ -120,7 +120,3 @@ def parse_cidr(text: str) -> Cidr:
         raise ValueError(f"host bits set in CIDR: {text!r}")
     return Cidr(network, prefix)
 
-
-def cidr_contains(cidr: str, ip: str) -> bool:
-    """Convenience: does the CIDR string contain the IP string?"""
-    return parse_cidr(cidr).contains(ip)

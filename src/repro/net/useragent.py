@@ -44,11 +44,6 @@ class UserAgent:
     browser: str
     device: str
 
-    @property
-    def is_headless(self) -> bool:
-        """Headless/automation UAs are a weak bot signal (not proof)."""
-        return self.browser == "headless"
-
 
 def generate_user_agent(rng: random.Random, device: str = "desktop",
                         browser: str = "") -> str:

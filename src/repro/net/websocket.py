@@ -247,16 +247,11 @@ class FrameDecoder:
         # aggregate across every decoder the server creates.
         metrics = metrics if metrics is not None else MetricsRegistry()
         self._metrics = metrics
-        self._bytes_fed = metrics.counter(
-            "ws.bytes_fed", help="raw bytes offered to the frame decoder")
-        self._frames_decoded = metrics.counter(
-            "ws.frames_decoded", help="complete frames decoded")
-        self._frames_oversized = metrics.counter(
-            "ws.frames_oversized",
-            help="frames rejected for exceeding max_frame_size")
-        self._frames_rejected = metrics.counter(
-            "ws.frames_rejected",
-            help="frames rejected as malformed (incl. oversized)")
+        self._bytes_fed = metrics.counter("ws.bytes_fed")
+        self._frames_decoded = metrics.counter("ws.frames_decoded")
+        self._frames_oversized = metrics.counter("ws.frames_oversized")
+        # Every malformed frame, oversized ones included.
+        self._frames_rejected = metrics.counter("ws.frames_rejected")
 
     @property
     def pending_bytes(self) -> int:
@@ -301,9 +296,7 @@ class FrameDecoder:
         # so the label series only exists once something actually broke.
         self._metrics.counter(
             f"ws.frames_rejected{{connection={connection},"
-            f"offset={absolute},reason={reason}}}",
-            help="frame rejection, labelled by connection/offset/reason"
-        ).inc()
+            f"offset={absolute},reason={reason}}}").inc()
         return type(error)(
             f"{error} (connection {connection}, "
             f"stream byte offset {absolute})")

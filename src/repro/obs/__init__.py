@@ -41,10 +41,8 @@ from repro.obs.metrics import (
 from repro.obs.progress import ProgressRenderer, format_heartbeat
 from repro.obs.render import render_metrics
 from repro.obs.timing import (
-    SIM_TIME_EDGES,
     WALL_TIME_EDGES,
     Timer,
-    sim_timer,
     wall_timer,
 )
 from repro.obs.trace import (
@@ -98,10 +96,8 @@ __all__ = [
     "MetricsSnapshot",
     "merge_snapshots",
     "render_metrics",
-    "SIM_TIME_EDGES",
     "WALL_TIME_EDGES",
     "Timer",
-    "sim_timer",
     "wall_timer",
     "NULL_TRACER",
     "FlightRecorder",

@@ -61,12 +61,11 @@ def _check_domain(domain: str) -> None:
 class Counter:
     """A monotonically increasing count (int or float, e.g. EUR spend)."""
 
-    __slots__ = ("name", "domain", "help", "value")
+    __slots__ = ("name", "domain", "value")
 
-    def __init__(self, name: str, domain: str = SIM, help: str = "") -> None:
+    def __init__(self, name: str, domain: str = SIM) -> None:
         self.name = name
         self.domain = domain
-        self.help = help
         self.value: float = 0
 
     def inc(self, amount: "int | float" = 1) -> None:
@@ -78,12 +77,11 @@ class Counter:
 class Gauge:
     """A point-in-time value; merges as the maximum across snapshots."""
 
-    __slots__ = ("name", "domain", "help", "value")
+    __slots__ = ("name", "domain", "value")
 
-    def __init__(self, name: str, domain: str = SIM, help: str = "") -> None:
+    def __init__(self, name: str, domain: str = SIM) -> None:
         self.name = name
         self.domain = domain
-        self.help = help
         self.value: float = 0.0
 
     def set(self, value: "int | float") -> None:
@@ -100,11 +98,11 @@ class Histogram:
     from different shards are always mergeable bucket-for-bucket.
     """
 
-    __slots__ = ("name", "domain", "help", "edges", "counts", "overflow",
-                 "total", "sum")
+    __slots__ = ("name", "domain", "edges", "counts", "overflow", "total",
+                 "sum")
 
     def __init__(self, name: str, edges: Sequence[float],
-                 domain: str = SIM, help: str = "") -> None:
+                 domain: str = SIM) -> None:
         if not edges:
             raise MetricsError(f"histogram {name} needs at least one edge")
         ordered = tuple(float(edge) for edge in edges)
@@ -113,7 +111,6 @@ class Histogram:
                 f"histogram {name} edges must be strictly increasing")
         self.name = name
         self.domain = domain
-        self.help = help
         self.edges = ordered
         self.counts = [0] * len(ordered)
         self.overflow = 0
@@ -258,8 +255,7 @@ class MetricsRegistry:
 
     # -- registration -------------------------------------------------- #
 
-    def counter(self, name: str, domain: str = SIM,
-                help: str = "") -> Counter:
+    def counter(self, name: str, domain: str = SIM) -> Counter:
         _check_domain(domain)
         existing = self._counters.get(name)
         if existing is not None:
@@ -270,11 +266,11 @@ class MetricsRegistry:
             return existing
         _check_name(name)
         self._claim(name)
-        instrument = Counter(name, domain=domain, help=help)
+        instrument = Counter(name, domain=domain)
         self._counters[name] = instrument
         return instrument
 
-    def gauge(self, name: str, domain: str = SIM, help: str = "") -> Gauge:
+    def gauge(self, name: str, domain: str = SIM) -> Gauge:
         _check_domain(domain)
         existing = self._gauges.get(name)
         if existing is not None:
@@ -285,12 +281,12 @@ class MetricsRegistry:
             return existing
         _check_name(name)
         self._claim(name)
-        instrument = Gauge(name, domain=domain, help=help)
+        instrument = Gauge(name, domain=domain)
         self._gauges[name] = instrument
         return instrument
 
     def histogram(self, name: str, edges: Sequence[float],
-                  domain: str = SIM, help: str = "") -> Histogram:
+                  domain: str = SIM) -> Histogram:
         _check_domain(domain)
         existing = self._histograms.get(name)
         if existing is not None:
@@ -302,7 +298,7 @@ class MetricsRegistry:
             return existing
         _check_name(name)
         self._claim(name)
-        instrument = Histogram(name, edges, domain=domain, help=help)
+        instrument = Histogram(name, edges, domain=domain)
         self._histograms[name] = instrument
         return instrument
 

@@ -4,10 +4,10 @@ A :class:`Timer` observes elapsed time into a fixed-edge histogram.  The
 clock is always explicit:
 
 * **Sim-domain timers** must be driven by the simulation's own clock
-  (``SimClock.now`` or any other function of simulated state) — see
-  :func:`sim_timer`.  These are part of the determinism contract: a
-  seeded run produces byte-identical sim-domain timings, serial or
-  parallel.
+  (``SimClock.now`` or any other function of simulated state), with the
+  histogram registered in the ``sim`` domain.  These are part of the
+  determinism contract: a seeded run produces byte-identical sim-domain
+  timings, serial or parallel.
 * **Wall-domain timers** (:func:`wall_timer`) read
   ``time.perf_counter`` and measure the host machine.  They are
   excluded from the determinism contract by construction (they register
@@ -25,16 +25,11 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
-from repro.obs.metrics import SIM, WALL, Histogram, MetricsRegistry
+from repro.obs.metrics import WALL, Histogram, MetricsRegistry
 
 #: Default span edges for wall-clock stage timings (seconds): 1 µs – 10 s.
 WALL_TIME_EDGES: tuple[float, ...] = (
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
-
-#: Default span edges for simulated durations (seconds): sub-second
-#: beacon exchanges up to multi-minute exposures.
-SIM_TIME_EDGES: tuple[float, ...] = (
-    0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 300.0)
 
 
 class Timer:
@@ -82,17 +77,7 @@ class _Span:
 
 
 def wall_timer(registry: MetricsRegistry, name: str,
-               edges: Sequence[float] = WALL_TIME_EDGES,
-               help: str = "") -> Timer:
+               edges: Sequence[float] = WALL_TIME_EDGES) -> Timer:
     """A host-machine timer; registers in the ``wall`` domain."""
-    return Timer(registry.histogram(name, edges, domain=WALL, help=help),
+    return Timer(registry.histogram(name, edges, domain=WALL),
                  clock=time.perf_counter)
-
-
-def sim_timer(registry: MetricsRegistry, name: str,
-              clock: Callable[[], float],
-              edges: Sequence[float] = SIM_TIME_EDGES,
-              help: str = "") -> Timer:
-    """A simulation-time timer; *clock* must read simulated time only."""
-    return Timer(registry.histogram(name, edges, domain=SIM, help=help),
-                 clock=clock)

@@ -176,10 +176,6 @@ class TaxonomyTree:
             self._neighborhood_cache[key] = cached
         return cached
 
-    def leaves(self) -> list[str]:
-        """All nodes with no children."""
-        return [name for name, kids in self._children.items() if not kids]
-
     def subtree(self, name: str) -> list[str]:
         """*name* plus every descendant (preorder)."""
         self._require(name)

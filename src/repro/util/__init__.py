@@ -4,7 +4,7 @@ These are deliberately dependency-free so every other subpackage can build
 on them without import cycles.
 """
 
-from repro.util.rng import RngFactory, zipf_weights, weighted_choice
+from repro.util.rng import RngFactory, zipf_weights
 from repro.util.simclock import SimClock
 from repro.util.hashing import anonymize_ip, stable_hash
 from repro.util.stats import (
@@ -18,7 +18,6 @@ from repro.util.stats import (
 __all__ = [
     "RngFactory",
     "zipf_weights",
-    "weighted_choice",
     "SimClock",
     "anonymize_ip",
     "stable_hash",

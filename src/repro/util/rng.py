@@ -13,9 +13,7 @@ import bisect
 import hashlib
 import random
 from itertools import accumulate
-from typing import Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Sequence
 
 
 class RngFactory:
@@ -39,11 +37,6 @@ class RngFactory:
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
 
-    def fork(self, name: str) -> "RngFactory":
-        """Derive a child factory whose streams are independent of ours."""
-        digest = hashlib.sha256(f"{self.seed}/fork:{name}".encode()).digest()
-        return RngFactory(int.from_bytes(digest[:8], "big"))
-
 
 def zipf_weights(n: int, exponent: float = 1.0) -> list[float]:
     """Unnormalised Zipf weights ``1/rank**exponent`` for ranks 1..n.
@@ -56,19 +49,6 @@ def zipf_weights(n: int, exponent: float = 1.0) -> list[float]:
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
     return [1.0 / (rank ** exponent) for rank in range(1, n + 1)]
-
-
-def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[float]) -> T:
-    """Pick one item with probability proportional to its weight.
-
-    Thin wrapper over ``random.Random.choices`` that validates its inputs —
-    ``choices`` silently misbehaves on empty or mismatched sequences.
-    """
-    if not items:
-        raise ValueError("items must be non-empty")
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    return rng.choices(items, weights=weights, k=1)[0]
 
 
 class CumulativeSampler:

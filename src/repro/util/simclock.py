@@ -41,10 +41,6 @@ class SimClock:
         """Current simulated UNIX time (client perspective)."""
         return self._now
 
-    def server_now(self) -> float:
-        """Current simulated UNIX time as seen by the central server."""
-        return self._now + self.server_skew
-
     def advance(self, seconds: float) -> float:
         """Move the clock forward; returns the new time."""
         if seconds < 0:
@@ -57,8 +53,3 @@ class SimClock:
         if unix_time > self._now:
             self._now = unix_time
         return self._now
-
-    def isoformat(self) -> str:
-        """Human-readable UTC rendering of the current instant."""
-        moment = _dt.datetime.fromtimestamp(self._now, tz=_dt.timezone.utc)
-        return moment.isoformat()

@@ -97,19 +97,6 @@ def histogram(values: Iterable[int], edges: Sequence[int],
     return counts
 
 
-def cumulative_fractions(counts: Sequence[int]) -> list[float]:
-    """Running cumulative share of each bucket (last entry is 1.0)."""
-    total = sum(counts)
-    if total == 0:
-        return [0.0] * len(counts)
-    fractions = []
-    running = 0
-    for count in counts:
-        running += count
-        fractions.append(running / total)
-    return fractions
-
-
 @dataclass(frozen=True)
 class Fraction2:
     """A ratio rendered as a two-decimal percentage — the papers' table unit.

@@ -52,11 +52,3 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     lines.append(rule)
     lines.extend(fmt(row) for row in cells)
     return "\n".join(lines)
-
-
-def render_series(name: str, xs: Sequence[object], ys: Sequence[object]) -> str:
-    """Render an (x, y) figure series as two aligned columns."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    rows = [(x, y) for x, y in zip(xs, ys)]
-    return render_table(["x", name], rows)

@@ -137,11 +137,3 @@ class BotFleet:
 
     def __len__(self) -> int:
         return len(self.bots)
-
-    def unique_ips(self) -> set[str]:
-        """Distinct server IPs across the fleet."""
-        return {bot.ip for bot in self.bots}
-
-    def targeting(self, topic: str) -> list[Bot]:
-        """Bots monetising publishers of the given vertical."""
-        return [bot for bot in self.bots if topic in bot.target_topics]

@@ -99,8 +99,6 @@ class PublisherUniverse:
         self.lexicon = lexicon or build_default_lexicon()
         self._keywords_by_topic = self._reverse_lexicon(self.lexicon)
         self.publishers: list[Publisher] = self._generate(rng)
-        self._by_domain = {publisher.domain: publisher
-                           for publisher in self.publishers}
         self.ranking = RankingService(self.publishers,
                                       max_rank=self.config.max_global_rank)
         # Pageview popularity follows Zipf over rank order.
@@ -215,13 +213,6 @@ class PublisherUniverse:
 
     def __len__(self) -> int:
         return len(self.publishers)
-
-    def by_domain(self, domain: str) -> Publisher:
-        """Look a publisher up by domain."""
-        try:
-            return self._by_domain[domain.lower()]
-        except KeyError:
-            raise KeyError(f"unknown publisher: {domain!r}") from None
 
     def sample_pageview_publisher(self, rng: random.Random,
                                   interests: tuple[str, ...] = (),

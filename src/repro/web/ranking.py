@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.util.stats import bucket_index, log_buckets
+from repro.util.stats import log_buckets
 from repro.web.publisher import Publisher
 
 
@@ -42,25 +42,9 @@ class RankingService:
         """Global rank of *domain*; None when the domain is unranked."""
         return self._rank.get(domain.lower())
 
-    def top(self, n: int) -> list[str]:
-        """The *n* best-ranked known domains, best first."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        ordered = sorted(self._rank.items(), key=lambda item: item[1])
-        return [domain for domain, _ in ordered[:n]]
-
     def bucket_edges(self, first_edge: int = 100) -> list[int]:
         """Logarithmic rank bucket edges up to the service's max rank."""
         return log_buckets(self.max_rank, base=10, first_edge=first_edge)
-
-    def bucket_of(self, domain: str, edges: Optional[list[int]] = None) -> Optional[int]:
-        """Index of the log bucket the domain's rank falls into."""
-        rank = self.rank_of(domain)
-        if rank is None:
-            return None
-        if edges is None:
-            edges = self.bucket_edges()
-        return bucket_index(rank, edges)
 
     @staticmethod
     def bucket_label(edges: list[int], index: int) -> str:

@@ -170,7 +170,3 @@ class UserPopulation:
     def in_country(self, country: str) -> list[Device]:
         """Devices located in *country*."""
         return [device for device in self.devices if device.country == country]
-
-    def unique_ips(self) -> set[str]:
-        """Distinct public IPs across the population (NATs collapse here)."""
-        return {device.ip for device in self.devices}

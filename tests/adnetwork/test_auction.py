@@ -54,7 +54,6 @@ class TestAuction:
         request = make_request(make_pageview(make_publisher(floor_cpm=0.50)))
         outcome = auction.run(request, [campaign("a", 0.10)], random.Random(0))
         assert outcome.winner is None
-        assert not outcome.our_win
 
     def test_no_candidates_no_sale(self):
         auction = Auction(no_external())

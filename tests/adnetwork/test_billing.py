@@ -39,12 +39,6 @@ class TestLedger:
         assert ledger.charged_total("b") == pytest.approx(0.50)
         assert ledger.charged_total("c") == 0.0
 
-    def test_net_total_subtracts_refunds(self):
-        ledger = BillingLedger()
-        ledger.charge("a", 1, 1.0, 0.0)
-        ledger.refunds.append(Refund("a", 0.25, covered_impressions=5))
-        assert ledger.net_total("a") == pytest.approx(0.75)
-
     def test_charge_validation(self):
         with pytest.raises(ValueError):
             Charge("a", 1, -0.1, 0.0)
@@ -133,7 +127,6 @@ class TestSummaries:
             source.charged_total("a"))
         assert target.refunded_total("a") == pytest.approx(
             source.refunded_total("a"))
-        assert target.net_total("a") == pytest.approx(source.net_total("a"))
 
     def test_absorbing_shards_in_order_is_deterministic(self):
         shards = []

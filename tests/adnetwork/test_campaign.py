@@ -48,16 +48,6 @@ class TestDerived:
     def test_bid_per_impression(self):
         assert make_campaign(cpm_eur=0.30).bid_per_impression == pytest.approx(0.0003)
 
-    def test_duration_days(self):
-        assert make_campaign().duration_days == pytest.approx(3.0)
-
-    def test_is_active_boundaries(self):
-        campaign = make_campaign()
-        assert campaign.is_active(START)
-        assert campaign.is_active(END - 1)
-        assert not campaign.is_active(END)
-        assert not campaign.is_active(START - 1)
-
     def test_targets_country(self):
         campaign = make_campaign(target_countries=("ES", "RU"))
         assert campaign.targets_country("RU")

@@ -18,10 +18,6 @@ class TestAdRequest:
         pageview = make_pageview(make_publisher(floor_cpm=0.10))
         assert make_request(pageview, price_level=0.5).floor_cpm == pytest.approx(0.05)
 
-    def test_floor_per_impression(self):
-        pageview = make_pageview(make_publisher(floor_cpm=0.10))
-        assert make_request(pageview).floor_per_impression == pytest.approx(0.0001)
-
     def test_rejects_nonpositive_price_level(self):
         with pytest.raises(ValueError):
             make_request(make_pageview(), price_level=0.0)

@@ -59,7 +59,7 @@ class TestVendorReporter:
         ]
         report = VendorReporter().report("Football-010", impressions)
         assert report.reported_publishers == {"seen.es"}
-        assert report.placement_impressions == 1
+        assert [row.impressions for row in report.placements] == [1]
 
     def test_viewable_only_policy_can_be_disabled(self, football_campaign):
         hidden_pub = make_publisher(domain="unseen.es")

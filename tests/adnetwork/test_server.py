@@ -59,7 +59,7 @@ class TestServe:
         assert impression is not None
         assert impression.campaign.campaign_id == "Football-010"
         assert impression.match.reason is MatchReason.CONTEXTUAL
-        assert impression.publisher_domain == "futbol9.es"
+        assert impression.pageview.publisher.domain == "futbol9.es"
 
     def test_inactive_campaign_never_serves(self, lexicon, ipdb, registry):
         server = make_server(lexicon, ipdb)
@@ -256,7 +256,7 @@ class _RecordingEngine(MatchEngine):
 def per_campaign_filter(campaigns, now, country, publisher):
     """The checks ``serve`` made on every campaign before the flight table."""
     return [campaign.campaign_id for campaign in campaigns
-            if campaign.is_active(now)
+            if campaign.start_unix <= now < campaign.end_unix
             and campaign.targets_country(country)
             and not campaign.excludes_publisher(publisher.domain,
                                                 publisher.is_anonymous)]

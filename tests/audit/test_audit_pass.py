@@ -104,8 +104,7 @@ def test_a_table_alone_computes_only_its_axis(small_result, monkeypatch):
 
 def unsealed_copy(dataset):
     """*dataset* over a fresh, unsealed store holding the same records."""
-    store = ImpressionStore()
-    store.extend_reindexed(dataset.store)
+    store = ImpressionStore.loads_jsonl(dataset.store.dumps_jsonl())
     return dataclasses.replace(dataset, store=store)
 
 

@@ -43,14 +43,13 @@ class TestBrandSafetyAudit:
         # 2 anonymous impressions cannot explain 2 unreported publishers...
         assert bound.anonymous_impressions == 2
         assert bound.unreported_publishers == 2
-        assert bound.explainable          # ...actually they could, here.
+        assert bound.unexplained_publishers == 0   # ...actually they could.
 
     def test_anonymous_bound_not_explainable(self):
         bound = AnonymousBound(anonymous_impressions=425,
                                unreported_publishers=497)
         # The paper's General-005 argument: 72 publishers left unexplained.
         assert bound.unexplained_publishers == 72
-        assert not bound.explainable
 
     def test_undisclosed_unsafe_publishers(self, dataset):
         audit = BrandSafetyAudit(dataset)

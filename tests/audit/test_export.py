@@ -7,11 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.audit.conversion import ConversionResult
 from repro.audit.export import (
     CSV_COLUMNS,
-    funnel_to_dicts,
-    funnel_to_json,
     report_to_csv,
     report_to_dict,
     report_to_json,
@@ -62,34 +59,7 @@ class TestJsonExport:
         assert '"aggregate"' in text
 
 
-def _zero_conversion_result() -> ConversionResult:
-    return ConversionResult(
-        campaign_id="Football-010", impressions=10, clicks=2, conversions=0,
-        revenue_eur=0.0, spend_eur=1.5, dc_clicks=1, dc_conversions=0)
-
-
 class TestFunnelExport:
-    def test_infinite_cost_per_conversion_exports_as_null(self):
-        """Regression: inf used to serialise as the bare token Infinity,
-        which is not JSON."""
-        rows = funnel_to_dicts([_zero_conversion_result()])
-        assert rows[0]["cost_per_conversion_eur"] is None
-
-    def test_funnel_json_is_strict(self):
-        text = funnel_to_json([_zero_conversion_result()])
-        assert "Infinity" not in text
-        assert "NaN" not in text
-        parsed = json.loads(text)
-        assert parsed[0]["cost_per_conversion_eur"] is None
-        assert parsed[0]["clicks"] == 2
-
-    def test_finite_cost_survives_untouched(self):
-        result = ConversionResult(
-            campaign_id="C", impressions=10, clicks=4, conversions=2,
-            revenue_eur=8.0, spend_eur=1.0, dc_clicks=0, dc_conversions=0)
-        rows = funnel_to_dicts([result])
-        assert rows[0]["cost_per_conversion_eur"] == pytest.approx(0.5)
-
     def test_render_uses_dash_for_infinite_cost(self, dataset):
         from repro.experiments.tables import render_conversion_funnel
 

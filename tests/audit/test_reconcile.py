@@ -25,11 +25,6 @@ class TestReconciliation:
         # estimated 0.0001 == refunded 0.0001 -> nothing outstanding.
         assert result.dc_cost_not_refunded_eur == pytest.approx(0.0)
 
-    def test_all_campaigns(self, dataset):
-        results = ReconciliationAudit(dataset).all_campaigns()
-        assert [r.campaign_id for r in results] == ["Football-010",
-                                                    "Research-010"]
-
     def test_missing_report_raises(self, dataset):
         audit = ReconciliationAudit(dataset)
         with pytest.raises(KeyError):

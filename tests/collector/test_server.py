@@ -47,6 +47,11 @@ def send_text(collector, connection, text, now):
     collector.process(connection)
 
 
+def counted(collector, name):
+    """One of the collector's counters, read from its metrics snapshot."""
+    return collector.metrics.snapshot().counter_value(f"collector.{name}")
+
+
 HELLO = ("HELLO|v=1|cid=Research-010|cr=Research-010-creative"
          "|url=http%3A%2F%2Fdiario1.es%2Fn%2Fa-1.html|ua=Mozilla%2F5.0")
 
@@ -64,7 +69,7 @@ class TestHandshake:
         now = connection.opened_at_server
         connection.client_send(b"POST /x HTTP/1.1\r\nHost: h\r\n\r\n", now)
         collector.process(connection)
-        assert collector.handshake_failures == 1
+        assert counted(collector, "handshake_failures") == 1
         connection.close(now + 1)
         assert collector.finalize(connection) is None
         assert len(store) == 0
@@ -97,7 +102,7 @@ class TestFrameHandling:
         assert record.domain == "diario1.es"
         assert record.exposure_seconds == pytest.approx(5.0)
         assert not record.truncated
-        assert collector.records_committed == 1
+        assert counted(collector, "records_committed") == 1
 
     def test_interactions_accumulate(self, setup):
         collector, store, network = setup
@@ -119,7 +124,7 @@ class TestFrameHandling:
         collector.process(connection)
         connection.close(now + 1)
         assert collector.finalize(connection) is None
-        assert collector.malformed_messages == 1
+        assert counted(collector, "malformed_messages") == 1
 
     def test_malformed_payload_dropped_but_session_continues(self, setup):
         collector, store, network = setup
@@ -129,7 +134,7 @@ class TestFrameHandling:
         connection.close(now + 2)
         record = collector.finalize(connection)
         assert record is not None
-        assert collector.malformed_messages == 1
+        assert counted(collector, "malformed_messages") == 1
 
     def test_duplicate_hello_counted_as_malformed(self, setup):
         collector, _, network = setup
@@ -139,14 +144,14 @@ class TestFrameHandling:
         connection.close(now + 2)
         record = collector.finalize(connection)
         assert record is not None
-        assert collector.malformed_messages == 1
+        assert counted(collector, "malformed_messages") == 1
 
     def test_no_hello_connection_counted(self, setup):
         collector, store, network = setup
         connection, now = open_connection(collector, network)
         connection.close(now + 2)
         assert collector.finalize(connection) is None
-        assert collector.connections_without_hello == 1
+        assert counted(collector, "connections_without_hello") == 1
 
     def test_network_close_marks_truncated(self, setup):
         collector, _, network = setup
@@ -166,7 +171,7 @@ class TestFrameHandling:
             + (1 << 30).to_bytes(8, "big") + b"\x01\x02\x03\x04"
         connection.client_send(header, now)
         collector.process(connection)
-        assert collector.malformed_messages == 1
+        assert counted(collector, "malformed_messages") == 1
         connection.close(now + 1)
         assert collector.finalize(connection) is None
         assert len(store) == 0
@@ -181,7 +186,7 @@ class TestFrameHandling:
         collector.process(connection)
         connection.close(now + 2)
         assert collector.finalize(connection) is not None
-        assert collector.malformed_messages == 0
+        assert counted(collector, "malformed_messages") == 0
 
 
 class TestFinalize:
@@ -243,7 +248,7 @@ class TestFragmentedMessages:
         collector.process(connection)
         connection.close(now + 2)
         assert collector.finalize(connection) is None
-        assert collector.malformed_messages == 1
+        assert counted(collector, "malformed_messages") == 1
 
 
 HELLO_NONCED = HELLO + "|n=00c0ffee00c0ffee"
@@ -338,7 +343,7 @@ class TestQuarantine:
         assert record is not None
         assert record.clicks == 1
         assert collector.quarantined_frames == 1
-        assert collector.malformed_messages == 1
+        assert counted(collector, "malformed_messages") == 1
         entries = collector.quarantine.entries()
         assert len(entries) == 1
         assert entries[0].connection_id == connection.connection_id

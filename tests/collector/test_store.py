@@ -127,21 +127,8 @@ class TestImpressionStore:
         for ip, ua in (("1.1.1.1", "X"), ("1.1.1.1", "X"), ("1.1.1.1", "Y")):
             store.insert(make_record(record_id=store.next_record_id(),
                                      ip=ip, ua=ua))
-        grouped = store.by_user()
-        assert sorted(len(records) for records in grouped.values()) == [1, 2]
-
-    def test_where_predicate(self):
-        store = ImpressionStore()
-        store.insert(make_record(record_id=1, exposure=0.5))
-        store.insert(make_record(record_id=2, exposure=5.0))
-        viewable = store.where(lambda record: record.viewable_upper_bound)
-        assert [record.record_id for record in viewable] == [2]
-
-    def test_replace_at_updates_in_place(self):
-        store = ImpressionStore()
-        store.insert(make_record(record_id=1))
-        store.replace_at(0, make_record(record_id=1, exposure=9.0))
-        assert next(iter(store)).exposure_seconds == 9.0
+        keys = [key for key, in store.select(None, "user_key")]
+        assert sorted(keys.count(key) for key in set(keys)) == [1, 2]
 
 
 class TestPersistence:
@@ -327,15 +314,15 @@ class TestPersistence:
 
 
 class TestMergeSupport:
-    def test_extend_reindexed_renumbers_contiguously(self):
+    def test_absorb_columns_renumbers_contiguously(self):
         left = ImpressionStore()
         left.insert(make_record(record_id=1, campaign="A"))
         right = ImpressionStore()
         right.insert(make_record(record_id=1, campaign="B"))
         right.insert(make_record(record_id=2, campaign="B"))
         merged = ImpressionStore()
-        assert merged.extend_reindexed(left) == 1
-        assert merged.extend_reindexed(right) == 2
+        assert merged.absorb_columns(left.export_columns()) == 1
+        assert merged.absorb_columns(right.export_columns()) == 2
         assert [record.record_id for record in merged] == [1, 2, 3]
         assert merged.campaigns() == ["A", "B"]
 
@@ -344,7 +331,7 @@ class TestMergeSupport:
         for campaign in ("A", "B", "C"):
             source = ImpressionStore()
             source.insert(make_record(record_id=1, campaign=campaign))
-            merged.extend_reindexed(source)
+            merged.absorb_columns(source.export_columns())
         loaded = ImpressionStore.loads_jsonl(merged.dumps_jsonl())
         assert list(loaded) == list(merged)
 
@@ -363,7 +350,9 @@ class TestSealing:
         store.insert(make_record(record_id=1))
         store.seal()
         with pytest.raises(StoreSealedError):
-            store.replace_at(0, make_record(record_id=1, exposure=9.0))
+            store.enrich_at(0, ip_token="tok", provider="", country="",
+                            global_rank=None, is_datacenter=None,
+                            dc_stage="")
 
     def test_sealed_store_still_queryable_and_dumpable(self):
         store = ImpressionStore()

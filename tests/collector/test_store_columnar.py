@@ -107,13 +107,6 @@ def project(records, fields):
             for record in records]
 
 
-def group_by_user(records):
-    grouped = {}
-    for record in records:
-        grouped.setdefault(record.user_key, []).append(record)
-    return grouped
-
-
 class TestBackendEquivalence:
     """The store against the list of records it was filled with."""
 
@@ -140,7 +133,6 @@ class TestBackendEquivalence:
             assert store.campaigns() == campaigns, sealed
             assert store.distinct_domains() \
                 == {record.domain for record in records}, sealed
-            assert store.by_user() == group_by_user(records), sealed
             for campaign_id in campaigns + ["c-unknown"]:
                 expected = [record for record in records
                             if record.campaign_id == campaign_id]
@@ -148,7 +140,6 @@ class TestBackendEquivalence:
                 assert store.count_for(campaign_id) == len(expected)
                 assert store.distinct_domains(campaign_id) \
                     == {record.domain for record in expected}
-                assert store.by_user(campaign_id) == group_by_user(expected)
 
     @given(populations)
     @settings(max_examples=40, deadline=None)
@@ -263,10 +254,6 @@ class TestSealedMutation:
         with pytest.raises(StoreSealedError):
             store.insert(make_record(2))
         with pytest.raises(StoreSealedError):
-            store.replace_at(0, make_record(1, clicks=1))
-        with pytest.raises(StoreSealedError):
-            store.extend_reindexed([make_record(2)])
-        with pytest.raises(StoreSealedError):
             store.absorb_columns(payload)
         with pytest.raises(StoreSealedError):
             store.enrich_at(0, ip_token="tok", provider="", country="",
@@ -310,30 +297,25 @@ class TestCounterAccounting:
         loaded = ImpressionStore.loads_jsonl(source.dumps_jsonl())
         assert loaded._appends.value == 3
 
-    def test_extend_reindexed_counts_batch(self):
-        tracer = _SpyTracer()
-        store = ImpressionStore(metrics=MetricsRegistry(), tracer=tracer)
-        added = store.extend_reindexed(
-            [make_record(7), make_record(9)])
-        assert added == 2
-        assert store._appends.value == 2
-        assert [record.record_id for record in store] == [1, 2]
-        # One summarising store.extend event, no per-record store.commit.
-        names = [name for name, _ in tracer.events]
-        assert names == ["store.extend"]
-        _, attrs = tracer.events[0]
-        assert attrs["records"] == 2
-        assert attrs["first_record"] == 1
-        assert attrs["last_record"] == 2
-
     def test_absorb_columns_emits_one_extend_event(self):
         source = ImpressionStore()
-        source.insert(make_record(1))
-        source.insert(make_record(2))
+        source.insert(make_record(1, campaign="c-travel"))
+        source.insert(make_record(2, clicks=2))
         tracer = _SpyTracer()
         store = ImpressionStore(metrics=MetricsRegistry(), tracer=tracer)
-        store.absorb_columns(source.export_columns())
-        assert [name for name, _ in tracer.events] == ["store.extend"]
+        store.insert(make_record(1))
+        assert store.absorb_columns(source.export_columns()) == 2
+        assert store._appends.value == 3
+        assert store.next_record_id() == 4
+        assert [record.record_id for record in store] == [1, 2, 3]
+        assert [record.clicks for record in store] == [0, 0, 2]
+        # One summarising store.extend event, no per-record store.commit.
+        assert [name for name, _ in tracer.events] \
+            == ["store.commit", "store.extend"]
+        _, attrs = tracer.events[1]
+        assert attrs["records"] == 2
+        assert attrs["first_record"] == 2
+        assert attrs["last_record"] == 3
 
     def test_insert_still_emits_per_record_commit(self):
         # The per-record store.commit stream feeds the trace exports on
@@ -342,24 +324,6 @@ class TestCounterAccounting:
         store = ImpressionStore(metrics=MetricsRegistry(), tracer=tracer)
         store.insert(make_record(1))
         assert [name for name, _ in tracer.events] == ["store.commit"]
-
-    def test_absorb_columns_matches_extend_reindexed(self):
-        payload_source = ImpressionStore()
-        payload_source.insert(make_record(1, campaign="c-travel"))
-        payload_source.insert(make_record(2, clicks=2))
-        payload = payload_source.export_columns()
-
-        absorbed = ImpressionStore()
-        absorbed.insert(make_record(1))
-        assert absorbed.absorb_columns(payload) == 2
-
-        extended = ImpressionStore()
-        extended.insert(make_record(1))
-        extended.extend_reindexed(list(payload_source))
-
-        assert absorbed.dumps_jsonl() == extended.dumps_jsonl()
-        assert absorbed.next_record_id() == extended.next_record_id() == 4
-        assert absorbed._appends.value == 3
 
     def test_absorb_rejects_malformed_payloads(self):
         store = ImpressionStore()

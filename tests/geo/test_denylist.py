@@ -19,10 +19,6 @@ class TestDenyList:
         assert "128.0.0.1" in deny
         assert not deny.covers("128.2.0.0")
 
-    def test_address_count(self):
-        deny = DenyList(["10.0.0.0/24", "10.0.1.0/24"])
-        assert deny.address_count() == 512
-
     def test_from_registry_partial_coverage(self):
         registry = ProviderRegistry(random.Random(5))
         deny = DenyList.from_registry(registry, coverage=0.7)

@@ -37,14 +37,6 @@ class TestGeoIpDatabase:
         ip = registry.access_providers("RU")[0].random_ip(random.Random(2))
         assert db.country_of(ip) == "RU"
 
-    def test_looks_hosted_flag(self, world):
-        registry, db = world
-        rng = random.Random(3)
-        dc_ip = registry.datacenter_providers()[0].random_ip(rng)
-        isp_ip = registry.access_providers("ES")[0].random_ip(rng)
-        assert db.lookup(dc_ip).looks_hosted
-        assert not db.lookup(isp_ip).looks_hosted
-
     def test_size_counts_prefixes(self, world):
         registry, db = world
         total_blocks = sum(len(provider.blocks)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.ipv4 import Cidr, cidr_contains, int_to_ip, ip_to_int, parse_cidr
+from repro.net.ipv4 import Cidr, int_to_ip, ip_to_int, parse_cidr
 
 
 class TestIpToInt:
@@ -90,9 +90,3 @@ class TestCidr:
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError):
             Cidr(network=1, prefix=8)   # host bits set
-
-
-class TestCidrContains:
-    def test_convenience_wrapper(self):
-        assert cidr_contains("10.0.0.0/8", "10.200.3.4")
-        assert not cidr_contains("10.0.0.0/8", "11.0.0.0")

@@ -49,7 +49,7 @@ class TestParse:
         rng = random.Random(4)
         raw = generate_user_agent(rng, device="server", browser="headless")
         parsed = parse_user_agent(raw)
-        assert parsed.is_headless
+        assert parsed.browser == "headless"
 
     def test_unknown_string_classifies_gracefully(self):
         parsed = parse_user_agent("curl/7.58.0")
@@ -65,7 +65,6 @@ class TestParse:
         assert parsed.browser == "unknown"
         assert parsed.device == "desktop"
         assert parsed.raw == raw
-        assert not parsed.is_headless
 
     def test_opera_not_misread_as_chrome(self):
         raw = ("Mozilla/5.0 (Windows NT 10.0; Win64; x64) AppleWebKit/537.36 "

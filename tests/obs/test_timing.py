@@ -1,8 +1,8 @@
 """Tests for repro.obs.timing — clock-explicit spans and domains."""
 
-from repro.obs.metrics import SIM, WALL, MetricsRegistry
+from repro.obs.metrics import WALL, MetricsRegistry
 from repro.obs.render import render_metrics
-from repro.obs.timing import Timer, sim_timer, wall_timer
+from repro.obs.timing import Timer, wall_timer
 from repro.util.simclock import SimClock
 
 
@@ -10,20 +10,14 @@ class TestTimer:
     def test_span_observes_elapsed_clock_time(self):
         registry = MetricsRegistry()
         clock = SimClock(1000.0)
-        timer = sim_timer(registry, "span.seconds", clock.now,
-                          edges=(1.0, 10.0))
+        timer = Timer(registry.histogram("span.seconds", (1.0, 10.0)),
+                      clock=clock.now)
         with timer.measure():
             clock.advance(5.0)
         snapshot = registry.snapshot().histogram_named("span.seconds")
         assert snapshot.total == 1
         assert snapshot.sum == 5.0
         assert snapshot.counts == (0, 1)
-
-    def test_sim_timer_registers_in_sim_domain(self):
-        registry = MetricsRegistry()
-        sim_timer(registry, "a.seconds", SimClock().now)
-        snapshot = registry.snapshot()
-        assert snapshot.histogram_named("a.seconds").domain == SIM
 
     def test_wall_timer_registers_in_wall_domain(self):
         registry = MetricsRegistry()
@@ -46,7 +40,8 @@ class TestTimer:
         def run():
             registry = MetricsRegistry()
             clock = SimClock(0.0)
-            timer = sim_timer(registry, "d.seconds", clock.now)
+            timer = Timer(registry.histogram("d.seconds", (1.0, 10.0)),
+                          clock=clock.now)
             for step in (0.2, 1.5, 40.0):
                 with timer.measure():
                     clock.advance(step)

@@ -109,9 +109,6 @@ class TestPaths:
 
 
 class TestTraversal:
-    def test_leaves(self, tree):
-        assert set(tree.leaves()) == {"la-liga", "basketball", "research"}
-
     def test_subtree_preorder(self, tree):
         assert tree.subtree("sports") == ["sports", "football", "la-liga",
                                           "basketball"]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.util.rng import CumulativeSampler, RngFactory, weighted_choice, zipf_weights
+from repro.util.rng import CumulativeSampler, RngFactory, zipf_weights
 
 
 class TestRngFactory:
@@ -35,12 +35,6 @@ class TestRngFactory:
         value_without_noise = factory_b.stream("signal").random()
         assert value_after_noise == value_without_noise
 
-    def test_fork_is_deterministic_and_independent(self):
-        base = RngFactory(seed=3)
-        fork_value = base.fork("child").stream("s").random()
-        assert fork_value == RngFactory(seed=3).fork("child").stream("s").random()
-        assert fork_value != base.stream("s").random()
-
 
 class TestZipfWeights:
     def test_first_rank_has_largest_weight(self):
@@ -61,21 +55,6 @@ class TestZipfWeights:
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             zipf_weights(5, exponent=-1.0)
-
-
-class TestWeightedChoice:
-    def test_returns_only_positive_weight_item(self):
-        rng = random.Random(0)
-        for _ in range(20):
-            assert weighted_choice(rng, ["a", "b"], [0.0, 1.0]) == "b"
-
-    def test_rejects_empty_items(self):
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(0), [], [])
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(0), ["a"], [1.0, 2.0])
 
 
 class TestCumulativeSampler:

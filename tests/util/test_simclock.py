@@ -31,11 +31,6 @@ class TestSimClock:
         clock.advance_to(10.0)
         assert clock.now() == 100.0
 
-    def test_server_skew_applies_to_server_now(self):
-        clock = SimClock(100.0, server_skew=2.5)
-        assert clock.server_now() == 102.5
-        assert clock.now() == 100.0
-
     def test_at_utc_matches_known_epoch(self):
         clock = SimClock.at_utc(1970, 1, 1)
         assert clock.now() == 0.0
@@ -47,6 +42,3 @@ class TestSimClock:
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
             SimClock(-1.0)
-
-    def test_isoformat_renders_utc(self):
-        assert SimClock.at_utc(2016, 4, 2).isoformat().startswith("2016-04-02T00:00:00")

@@ -5,7 +5,6 @@ import pytest
 from repro.util.stats import (
     Fraction2,
     bucket_index,
-    cumulative_fractions,
     histogram,
     log_buckets,
     median,
@@ -116,18 +115,6 @@ class TestHistogram:
     def test_out_of_range_value_clamps_when_asked(self):
         counts = histogram([1, 5000], [10, 100, 1000], clamp=True)
         assert counts == [1, 0, 1]
-
-
-class TestCumulativeFractions:
-    def test_last_is_one(self):
-        assert cumulative_fractions([1, 2, 3])[-1] == pytest.approx(1.0)
-
-    def test_monotone_nondecreasing(self):
-        fractions = cumulative_fractions([5, 0, 3, 2])
-        assert all(a <= b for a, b in zip(fractions, fractions[1:]))
-
-    def test_all_zero_counts(self):
-        assert cumulative_fractions([0, 0]) == [0.0, 0.0]
 
 
 class TestFraction2:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import render_series, render_table
+from repro.util.tables import render_table
 
 
 class TestRenderTable:
@@ -28,13 +28,3 @@ class TestRenderTable:
     def test_empty_rows_renders_header_only(self):
         text = render_table(["a"], [])
         assert "a" in text
-
-
-class TestRenderSeries:
-    def test_pairs_xs_and_ys(self):
-        text = render_series("y", [1, 2], ["a", "b"])
-        assert "1" in text and "b" in text
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            render_series("y", [1], [1, 2])

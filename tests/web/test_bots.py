@@ -62,7 +62,7 @@ class TestBotFleet:
         assert local == len(fleet.bots)
 
     def test_fleet_shares_provider_but_ips_vary(self, fleet):
-        assert len(fleet.unique_ips()) > len(fleet) * 0.8
+        assert len({bot.ip for bot in fleet.bots}) > len(fleet) * 0.8
 
     def test_bot_ids_unique(self, fleet):
         ids = [bot.bot_id for bot in fleet.bots]
@@ -75,10 +75,6 @@ class TestBotFleet:
     def test_verticals_rotate_within_fleet(self, fleet):
         verticals = {bot.target_topics[0] for bot in fleet.bots}
         assert len(verticals) >= 2
-
-    def test_targeting_filter(self, fleet):
-        for bot in fleet.targeting("sports"):
-            assert "sports" in bot.target_topics
 
     def test_aggressive_bots_run_hotter(self, registry):
         config = BotConfig(bots_per_fleet=200, fleet_count=1,

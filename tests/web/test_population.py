@@ -79,12 +79,6 @@ class TestGeneration:
         assert 0.04 < anonymous < 0.20
         assert 0.08 < blocking < 0.25
 
-    def test_by_domain_lookup(self, universe):
-        publisher = universe.publishers[0]
-        assert universe.by_domain(publisher.domain) is publisher
-        with pytest.raises(KeyError):
-            universe.by_domain("missing.example")
-
     def test_deterministic_generation(self, lexicon):
         a = PublisherUniverse(random.Random(5),
                               UniverseConfig(publisher_count=50), lexicon)

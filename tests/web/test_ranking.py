@@ -28,14 +28,6 @@ class TestRankingService:
     def test_unknown_domain_is_none(self, service):
         assert service.rank_of("unknown.org") is None
 
-    def test_top_n_ordering(self, service):
-        assert service.top(2) == ["top.es", "mid.es"]
-        assert service.top(0) == []
-
-    def test_top_rejects_negative(self, service):
-        with pytest.raises(ValueError):
-            service.top(-1)
-
     def test_duplicate_domain_rejected(self):
         with pytest.raises(ValueError):
             RankingService([make_publisher("a.es", 1),
@@ -45,12 +37,6 @@ class TestRankingService:
         edges = service.bucket_edges()
         assert edges[-1] >= service.max_rank
         assert edges[0] == 100
-
-    def test_bucket_of_known_domains(self, service):
-        edges = service.bucket_edges()
-        assert service.bucket_of("top.es", edges) == 0
-        assert service.bucket_of("mid.es", edges) == edges.index(100_000)
-        assert service.bucket_of("unknown.org", edges) is None
 
     def test_bucket_label_rendering(self):
         edges = [100, 1000, 10_000, 100_000, 1_000_000, 10_000_000]

@@ -65,9 +65,6 @@ class TestPopulation:
             by_ip.setdefault(device.ip, []).append(device)
         assert any(len(group) >= 2 for group in by_ip.values())
 
-    def test_unique_ips_fewer_than_devices(self, population):
-        assert len(population.unique_ips()) < len(population)
-
     def test_activity_is_heavy_tailed(self, population):
         daily = sorted(d.daily_pageviews for d in population.devices)
         median = daily[len(daily) // 2]
