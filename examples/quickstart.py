@@ -96,8 +96,8 @@ def main() -> None:
                                           rngs.stream("refunds"))
     report = VendorReporter().report(
         campaign.campaign_id, ad_server.impressions,
-        charged_eur=ad_server.billing.charged_total(campaign.campaign_id),
-        refunded_eur=ad_server.billing.refunded_total(campaign.campaign_id))
+        charged_eur=ad_server.pacer.total_spend[campaign.campaign_id],
+        refunded_eur=ad_server.billing.refunded.get(campaign.campaign_id, 0))
     resolver = DataCenterResolver(ipdb, DenyList.from_registry(registry))
     Enricher(ipdb, resolver, universe.ranking).enrich_store(store)
 

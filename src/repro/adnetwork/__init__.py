@@ -22,12 +22,7 @@ from repro.adnetwork.reporting import (
     ReportAggregate,
     merge_aggregates,
 )
-from repro.adnetwork.billing import (
-    BillingLedger,
-    CampaignBillingSummary,
-    Charge,
-    Refund,
-)
+from repro.adnetwork.billing import BillingLedger
 from repro.adnetwork.conversions import (
     ConversionConfig,
     ConversionEvent,
@@ -55,9 +50,6 @@ __all__ = [
     "ReportAggregate",
     "merge_aggregates",
     "BillingLedger",
-    "CampaignBillingSummary",
-    "Charge",
-    "Refund",
     "ConversionConfig",
     "ConversionEvent",
     "ConversionSimulator",

@@ -267,8 +267,7 @@ class AdServer:
             reason=impression.match.reason.value,
             clearing_cpm=outcome.clearing_cpm)
         self.pacer.record_spend(campaign, now, impression.price_eur)
-        self.billing.charge(campaign.campaign_id, impression.impression_id,
-                            impression.price_eur, now)
+        self.billing.charge(campaign.campaign_id, impression.price_eur, now)
         self._count_delivery(campaign, pageview)
         self.impressions.append(impression)
         self._deliveries.inc()

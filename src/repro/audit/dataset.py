@@ -40,7 +40,6 @@ class AuditDataset:
     directory: Mapping[str, Publisher]
     lexicon: Lexicon
     ranking: RankingService
-    notes: dict[str, str] = field(default_factory=dict)
     #: What the memoised methods of the axes :meth:`audit` built have
     #: computed, by axis class, method and arguments.
     _results: dict[tuple, object] = field(default_factory=dict, init=False,

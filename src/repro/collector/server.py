@@ -89,11 +89,10 @@ class FinalizeOutcome:
 class CollectorServer:
     """Accepts beacon connections and writes the impression database.
 
-    Error/commit counts are backed by a :class:`MetricsRegistry` (the
-    shard's, when one is passed in) so the collector contributes to the
-    run's mergeable :class:`~repro.obs.metrics.MetricsSnapshot`; the
-    legacy integer attributes remain readable *and* assignable — the
-    experiment merge sums them across shards.
+    Error/commit counts live only in a :class:`MetricsRegistry` (the
+    shard's, when one is passed in), so the collector contributes to the
+    run's mergeable :class:`~repro.obs.metrics.MetricsSnapshot`; read them
+    from its snapshot.
     """
 
     DEFAULT_ENDPOINT = Endpoint(ip="198.51.100.10", port=443)
@@ -143,20 +142,6 @@ class CollectorServer:
         # One observation per process() call.
         self._decode_timer = wall_timer(
             self.metrics, "collector.decode_wall_seconds")
-
-    @property
-    def duplicates(self) -> int:
-        """Deliveries rejected by nonce dedup (0 when faults inactive)."""
-        if self._duplicates_counter is None:
-            return 0
-        return int(self._duplicates_counter.value)
-
-    @property
-    def quarantined_frames(self) -> int:
-        """Frames quarantined across all sessions (0 when faults inactive)."""
-        if self._quarantined_counter is None:
-            return 0
-        return int(self._quarantined_counter.value)
 
     def attach(self, network: SimulatedNetwork) -> None:
         """Register as the listening server on *network*."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.adnetwork.billing import BillingLedger, CampaignBillingSummary
 from repro.adnetwork.conversions import ConversionEvent, ConversionSimulator
 from repro.adnetwork.inventory import ExternalDemand
 from repro.adnetwork.matching import MatchEngine
@@ -109,12 +108,11 @@ class ExperimentResult:
     #: between serial and parallel runs; the wall channel carries the
     #: runner's heartbeats and is excluded from that contract.
     events: EventLog = field(default_factory=EventLog)
-    #: Ground-truth deliveries per campaign id, from the coverage ledger.
-    delivered_by_campaign: dict[str, int] = field(default_factory=dict)
 
     def delivered(self, campaign_id: str) -> int:
         """Ground-truth impressions the network delivered for a campaign."""
-        return self.delivered_by_campaign.get(campaign_id, 0)
+        cell = self.coverage.counts.by_campaign().get(campaign_id)
+        return cell.delivered if cell is not None else 0
 
     def logged(self, campaign_id: str) -> int:
         """Impressions our methodology managed to log for a campaign."""
@@ -295,14 +293,16 @@ class ShardOutput:
     pickle (:func:`repro.experiments.parallel.pack_shard_output`).  The
     impression store travels as its raw-column payload
     (:meth:`ImpressionStore.export_columns`), which the merge folds into
-    the merged store without re-parsing; billing and vendor-report state
-    travel as per-campaign summaries, deliveries as coverage-ledger counts.
+    the merged store without re-parsing; vendor-report state travels as
+    per-campaign aggregates, deliveries as coverage-ledger counts.
     """
 
     shard: ShardSpec
     store_columns: tuple
     conversions: list[ConversionEvent]
-    billing: dict[str, CampaignBillingSummary]
+    #: Campaign id → (charged, refunded) EUR: the pacer's spend total and
+    #: the billing ledger's refund total, for every campaign.
+    billing: dict[str, tuple[float, float]]
     report_aggregates: dict[str, ReportAggregate]
     #: The shard flight recorder's retained traces as one segment
     #: (:meth:`FlightRecorder.seal`), with shard-local ids.
@@ -454,8 +454,7 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
     # (trace.dropped: committed traces evicted by the head/tail retention
     # bound; beacon.blocked_*: delivered impressions whose publisher or
     # browser blocked the beacon), the vendor's silent fraud clawback on
-    # this shard's deliveries, then the mergeable billing/report
-    # projections.
+    # this shard's deliveries, then the mergeable report projections.
     for name, value in (
             ("trace.committed", recorder.committed),
             ("trace.dropped", recorder.dropped),
@@ -468,6 +467,7 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
 
     server.billing.apply_fraud_refunds(server.impressions,
                                        rngs.stream(f"refunds/{scope}"))
+    refunded = server.billing.refunded
     reporter = VendorReporter()
     aggregates = {
         plan.spec.campaign_id: reporter.aggregate(
@@ -479,7 +479,9 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
         shard=shard,
         store_columns=store.export_columns(),
         conversions=conversions,
-        billing=server.billing.summaries(),
+        billing={campaign_id: (charged, refunded.get(campaign_id, 0.0))
+                 for campaign_id, charged
+                 in server.pacer.total_spend.items()},
         report_aggregates=aggregates,
         metrics=metrics.snapshot(),
         traces=recorder.seal(),
@@ -597,7 +599,11 @@ class ShardMerger:
         self._memwatch = memwatch if memwatch is not None else MemoryWatch()
         self._by_id = {plan.spec.campaign_id: plan.spec
                        for plan in config.campaigns}
-        self._billing = BillingLedger()
+        # Merged charged/refunded EUR per campaign.  Each sum starts from
+        # int 0 and adds only the shards that charged (or refunded), so a
+        # campaign no shard refunded reports 0, as the exports print it.
+        self._charged: dict[str, float] = {}
+        self._refunded: dict[str, float] = {}
         self._store = ImpressionStore()
         self._recorder = TraceArchive()
         self._impression_offset = 0
@@ -633,8 +639,13 @@ class ShardMerger:
 
     def _fold(self, output: ShardOutput, delivered: int,
               records: int) -> None:
-        for summary in output.billing.values():
-            self._billing.absorb_summary(summary)
+        for campaign_id, (charged, refunded) in output.billing.items():
+            if charged > 0:
+                self._charged[campaign_id] = \
+                    self._charged.get(campaign_id, 0) + charged
+            if refunded > 0:
+                self._refunded[campaign_id] = \
+                    self._refunded.get(campaign_id, 0) + refunded
         for campaign_id, aggregate in output.report_aggregates.items():
             seen = self._aggregates.get(campaign_id)
             self._aggregates[campaign_id] = aggregate if seen is None \
@@ -666,15 +677,15 @@ class ShardMerger:
         """Finalise: enrich, seal, and assemble the experiment result."""
         self._finalized = True
         config, world = self.config, self.world
-        billing, store = self._billing, self._store
+        store = self._store
 
         reporter = VendorReporter()
         vendor_reports: dict[str, VendorReport] = {}
         for campaign_id in self._by_id:
             vendor_reports[campaign_id] = reporter.build(
                 self._aggregates[campaign_id],
-                charged_eur=billing.charged_total(campaign_id),
-                refunded_eur=billing.refunded_total(campaign_id))
+                charged_eur=self._charged.get(campaign_id, 0),
+                refunded_eur=self._refunded.get(campaign_id, 0))
 
         enricher = Enricher(world.ipdb, world.resolver,
                             world.universe.ranking)
@@ -706,10 +717,10 @@ class ShardMerger:
         # Watermarks ride wall-domain gauges so the metrics absorb/merge
         # machinery (gauges max-merge) gives watermark semantics for free.
         self._memwatch.record_to(self._metrics)
-        # The merge-phase ledger and store above run on *private*
-        # registries whose bookkeeping (lump-sum billing absorption) is an
-        # artefact of merging, not of simulation — only the shard
-        # snapshots, folded in canonical plan order, make up these metrics.
+        # The merge-phase store above runs on a *private* registry whose
+        # bookkeeping is an artefact of merging, not of simulation — only
+        # the shard snapshots, folded in canonical plan order, make up
+        # these metrics.
         metrics = self._metrics.snapshot()
         counts = {stat: int(metrics.counter_value(name))
                   for stat, name in _STAT_COUNTERS.items()}
@@ -732,9 +743,6 @@ class ShardMerger:
             recorder=self._recorder,
             coverage=coverage,
             events=self._events,
-            delivered_by_campaign={
-                campaign_id: cell.delivered for campaign_id, cell
-                in self._coverage_counts.by_campaign().items()},
             stats={
                 "pageviews": counts.pop("pageviews"),
                 "delivered": totals.delivered,

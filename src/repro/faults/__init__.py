@@ -2,8 +2,8 @@
 
 ``plan``        — frozen :class:`FaultPlan` (what can fail, how often,
                   retry policy, presets ``none``/``flaky``/``hostile``)
-``inject``      — :class:`FaultInjector` / per-stage :class:`FaultPoint`
-                  hooks drawing from a shard-scoped RNG stream
+``inject``      — :class:`FaultInjector` drawing from a shard-scoped RNG
+                  stream
 ``quarantine``  — bounded :class:`QuarantineLog` for malformed frames
 
 The invariant the whole package is built around: under the ``none``
@@ -12,7 +12,7 @@ byte on the wire — fault-free runs are byte-identical to a build
 without the package.
 """
 
-from repro.faults.inject import NULL_INJECTOR, FaultInjector, FaultPoint
+from repro.faults.inject import NULL_INJECTOR, FaultInjector
 from repro.faults.plan import (
     FAULT_KINDS,
     PRESET_NAMES,
@@ -29,7 +29,6 @@ __all__ = [
     "NULL_INJECTOR",
     "FaultInjector",
     "FaultPlan",
-    "FaultPoint",
     "FaultSpec",
     "QuarantineEntry",
     "QuarantineLog",

@@ -2,11 +2,9 @@
 
 A :class:`FaultInjector` carries one shard's fault RNG stream
 (``faults/{period}/{country}/{slice}``) and draws the dice a
-:class:`~repro.faults.plan.FaultPlan` declares.  Pipeline components do
-not hold the injector directly — they are handed per-stage
-:class:`FaultPoint` hooks, so the transport only ever asks about
-``connect``/``stream``/``collector`` faults and a connection's frame
-path only about ``frame`` faults.
+:class:`~repro.faults.plan.FaultPlan` declares.  The transport, collector
+and beacon client share the shard's injector and ask it about their own
+stages; a connection's frame path calls only :meth:`FaultInjector.mangle`.
 
 Determinism rules, in order of importance:
 
@@ -90,10 +88,7 @@ class FaultInjector:
         if self.metrics is not None:
             self.metrics.counter(name).inc(amount)
 
-    # -- stage hooks ---------------------------------------------------- #
-
-    def point(self, stage: str) -> "FaultPoint":
-        return FaultPoint(self, stage)
+    # -- frame stage ---------------------------------------------------- #
 
     def mangle(self, data: bytes) -> tuple[bytes, str]:
         """Apply frame-stage corruption to outbound wire bytes.
@@ -115,25 +110,6 @@ class FaultInjector:
             mutated[index] ^= bit
             return bytes(mutated), "bit_flip"
         return data, ""
-
-
-class FaultPoint:
-    """One stage's narrow view of the shard injector."""
-
-    __slots__ = ("_injector", "stage")
-
-    def __init__(self, injector: FaultInjector, stage: str) -> None:
-        self._injector = injector
-        self.stage = stage
-
-    def fires(self, kind: str) -> bool:
-        return self._injector.fires(self.stage, kind)
-
-    def param(self, kind: str, default: float = 0.0) -> float:
-        return self._injector.param(self.stage, kind, default)
-
-    def mangle(self, data: bytes) -> tuple[bytes, str]:
-        return self._injector.mangle(data)
 
 
 #: The shared inactive injector: plan ``none``, no RNG, no registry.

@@ -167,18 +167,6 @@ class FaultPlan:
         """
         return self.injects or self.retries_enabled
 
-    def probability(self, stage: str, kind: str) -> float:
-        for spec in self.specs:
-            if spec.stage == stage and spec.kind == kind:
-                return spec.probability
-        return 0.0
-
-    def param(self, stage: str, kind: str, default: float = 0.0) -> float:
-        for spec in self.specs:
-            if spec.stage == stage and spec.kind == kind:
-                return spec.param
-        return default
-
     def should_crash(self, scope: str, attempt: int) -> bool:
         """Is execution *attempt* (0-based) of *scope* scheduled to crash?"""
         return scope in self.crash_scopes and attempt < self.crash_attempts

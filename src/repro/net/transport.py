@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.faults.inject import NULL_INJECTOR, FaultInjector, FaultPoint
+from repro.faults.inject import NULL_INJECTOR, FaultInjector
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.util.simclock import SimClock
 
@@ -57,9 +57,10 @@ class Connection:
     client_inbox: bytearray = field(default_factory=bytearray)
     closed_at_server: Optional[float] = None
     close_initiator: str = ""
-    #: Frame-stage fault hook; attached by the network only when a fault
-    #: plan is active, so fault-free connections pay nothing.
-    fault_point: Optional[FaultPoint] = None
+    #: The shard's injector, for frame-stage faults; attached by the
+    #: network only when a fault plan is active, so fault-free
+    #: connections pay nothing.
+    faults: Optional[FaultInjector] = None
 
     @property
     def is_open(self) -> bool:
@@ -84,8 +85,8 @@ class Connection:
             raise ConnectionClosed(f"cannot send on {self._closed_detail()}")
         if now_server < self.opened_at_server:
             raise ValueError("send before connection establishment")
-        if faultable and self.fault_point is not None:
-            data, _ = self.fault_point.mangle(data)
+        if faultable and self.faults is not None:
+            data, _ = self.faults.mangle(data)
         self.server_inbox.extend(data)
 
     def server_send(self, data: bytes, now_server: float) -> None:
@@ -238,7 +239,7 @@ class SimulatedNetwork:
                 # the floor of the exposure window) shifts by the delay.
                 connection.opened_at_server += faults.param(
                     "collector", "backpressure")
-            connection.fault_point = faults.point("frame")
+            connection.faults = faults
         self.connections.append(connection)
         self.tracer.begin("transport.connect", at=at_time, ok=True,
                           connection=connection.connection_id,

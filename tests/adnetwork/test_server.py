@@ -88,8 +88,13 @@ class TestServe:
 
     def test_impressions_charge_billing(self, lexicon, ipdb, registry):
         server = make_server(lexicon, ipdb)
-        server.serve(es_pageview(registry), random.Random(0))
-        assert server.billing.charged_total("Football-010") > 0
+        impression = server.serve(es_pageview(registry), random.Random(0))
+        assert impression.price_eur > 0
+        assert server.pacer.total_spend["Football-010"] \
+            == impression.price_eur
+        count = server.metrics.snapshot().counter_value
+        assert count("billing.charges") == 1
+        assert count("billing.charged_eur") == impression.price_eur
 
     def test_budget_exhaustion_stops_delivery(self, lexicon, ipdb, registry):
         campaign = football_campaign(daily_budget_eur=0.0002)

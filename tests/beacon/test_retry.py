@@ -146,7 +146,8 @@ class TestDuplicateDelivery:
         assert delivery.attempts == 2       # original + one re-delivery
         assert delivery.duplicates == 1     # rejected by the nonce
         assert len(store) == 1
-        assert collector.duplicates == 1
+        assert collector.metrics.snapshot().counter_value(
+            "collector.duplicates") == 1
 
 
 class TestNonce:

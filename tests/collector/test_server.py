@@ -291,7 +291,7 @@ class TestIdempotentIngestion:
         assert first is not None
         assert second is None
         assert len(store) == 1
-        assert collector.duplicates == 1
+        assert counted(collector, "duplicates") == 1
         assert collector.last_finalize.duplicate
         assert collector.last_finalize.reason == "duplicate"
         assert not collector.last_finalize.committed
@@ -303,7 +303,7 @@ class TestIdempotentIngestion:
         assert deliver_once(collector, network,
                             HELLO + "|n=bbbb") is not None
         assert len(store) == 2
-        assert collector.duplicates == 0
+        assert counted(collector, "duplicates") == 0
 
     def test_empty_nonce_never_dedups(self, fault_setup):
         # Legacy beacons without a nonce must keep committing freely.
@@ -311,14 +311,14 @@ class TestIdempotentIngestion:
         assert deliver_once(collector, network, HELLO) is not None
         assert deliver_once(collector, network, HELLO) is not None
         assert len(store) == 2
-        assert collector.duplicates == 0
+        assert counted(collector, "duplicates") == 0
 
     def test_inactive_collector_ignores_nonces(self, setup):
         collector, store, network = setup
         assert deliver_once(collector, network, HELLO_NONCED) is not None
         assert deliver_once(collector, network, HELLO_NONCED) is not None
         assert len(store) == 2
-        assert collector.duplicates == 0
+        assert counted(collector, "duplicates") == 0
 
 
 class TestQuarantine:
@@ -342,7 +342,7 @@ class TestQuarantine:
         record = collector.finalize(connection)
         assert record is not None
         assert record.clicks == 1
-        assert collector.quarantined_frames == 1
+        assert counted(collector, "quarantined_frames") == 1
         assert counted(collector, "malformed_messages") == 1
         entries = collector.quarantine.entries()
         assert len(entries) == 1
@@ -371,5 +371,5 @@ class TestQuarantine:
         self.send_corrupt_frame(collector, connection, now + 1)
         connection.close(now + 2)
         assert collector.finalize(connection) is None
-        assert collector.quarantined_frames == 0
+        assert counted(collector, "quarantined_frames") == 0
         assert len(store) == 0

@@ -25,6 +25,15 @@ class TestRunnerOutputs:
             report = small_result.dataset.require_report(campaign_id)
             assert report.total_impressions == small_result.delivered(campaign_id)
 
+    def test_unrefunded_campaign_reports_int_zero(self, small_result):
+        # The merged books start each sum from int 0 and add only shards
+        # that refunded, so the audit exports print a campaign nothing was
+        # refunded for as 0, not 0.0.
+        reports = small_result.dataset.vendor_reports.values()
+        unrefunded = [report for report in reports if not report.refunded_eur]
+        assert unrefunded
+        assert all(type(report.refunded_eur) is int for report in unrefunded)
+
     def test_dataset_is_enriched_and_anonymised(self, small_result):
         for record in small_result.dataset.store:
             assert record.ip == ""

@@ -107,13 +107,12 @@ class TestAccounting:
         assert a.jitter(0.0) == 0.0
 
 
-class TestFaultPoint:
-    def test_point_scopes_to_one_stage(self):
+class TestStageLookup:
+    def test_lookups_scope_to_one_stage(self):
         plan = make_plan(FaultSpec("connect", "refused", 1.0),
                          FaultSpec("connect", "timeout", 0.0, param=2.5))
         injector = FaultInjector(plan, random.Random(5))
-        point = injector.point("connect")
-        assert point.stage == "connect"
-        assert point.fires("refused")
-        assert point.param("timeout") == 2.5
-        assert not injector.point("stream").fires("refused")
+        assert injector.fires("connect", "refused")
+        assert injector.param("connect", "timeout") == 2.5
+        assert injector.param("stream", "timeout", default=9.0) == 9.0
+        assert not injector.fires("stream", "refused")

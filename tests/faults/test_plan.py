@@ -11,6 +11,11 @@ from repro.faults.plan import (
 )
 
 
+def spec_table(plan):
+    """The plan's specs keyed by (stage, kind)."""
+    return {(spec.stage, spec.kind): spec for spec in plan.specs}
+
+
 class TestFaultSpec:
     def test_rejects_unknown_stage_kind(self):
         with pytest.raises(ValueError, match="unknown fault"):
@@ -76,11 +81,11 @@ class TestFaultPlan:
                 FaultSpec("connect", "refused", 0.2)))
 
     def test_probability_and_param_lookup(self):
-        plan = FaultPlan.preset("flaky")
-        assert plan.probability("connect", "refused") == 0.05
-        assert plan.probability("connect", "never-configured") == 0.0
-        assert plan.param("connect", "timeout") == 0.75
-        assert plan.param("frame", "truncate", default=9.0) == 0.0
+        specs = spec_table(FaultPlan.preset("flaky"))
+        assert specs["connect", "refused"].probability == 0.05
+        assert ("connect", "never-configured") not in specs
+        assert specs["connect", "timeout"].param == 0.75
+        assert specs["frame", "truncate"].param == 0.0
 
     def test_plan_is_hashable(self):
         # ExperimentConfig is a dict key (world caches, lru_cache), so
@@ -102,8 +107,9 @@ class TestPresetsAndResolve:
     def test_flaky_and_hostile_are_active(self):
         assert FaultPlan.preset("flaky").active
         assert FaultPlan.preset("hostile").active
-        assert FaultPlan.preset("hostile").probability("connect", "refused") \
-            > FaultPlan.preset("flaky").probability("connect", "refused")
+        refused = [spec_table(FaultPlan.preset(name))["connect", "refused"]
+                   for name in ("hostile", "flaky")]
+        assert refused[0].probability > refused[1].probability
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="preset"):
@@ -117,7 +123,7 @@ class TestPresetsAndResolve:
             '"kind": "refused", "probability": 0.5}], '
             '"retry": {"max_attempts": 2}}')
         assert plan.name == "custom"
-        assert plan.probability("connect", "refused") == 0.5
+        assert spec_table(plan)["connect", "refused"].probability == 0.5
         assert plan.retry.max_attempts == 2
         assert FaultPlan.from_dict(plan.to_dict()) == plan
 

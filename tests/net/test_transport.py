@@ -289,13 +289,12 @@ class TestFaultInjection:
             connection, connection.opened_at_server + 1.0)
         assert connection.close_initiator == "network"
 
-    def test_faulty_connection_carries_frame_point(self):
+    def test_faulty_connection_carries_injector(self):
         network, _ = self.make_faulty_network(("frame", "truncate", 0.5))
         connection = network.connect(CLIENT, SERVER, at_time=1000.0)
-        assert connection.fault_point is not None
-        assert connection.fault_point.stage == "frame"
+        assert connection.faults is network.faults
         baseline, _ = make_network()
-        assert baseline.connect(CLIENT, SERVER).fault_point is None
+        assert baseline.connect(CLIENT, SERVER).faults is None
 
     def test_inactive_injector_preserves_baseline_draws(self):
         # Wiring the null injector must not consume RNG or change timing.

@@ -12,9 +12,13 @@ two stages count on their own (ad server, auction, billing and flight
 recorder; collector and store; beacon script and coverage ledger;
 conversion simulator and conversion log; shard plan and merge) comes out
 equal in the merged metrics snapshot, ``stats`` and the event journal.
+The vendor's books balance too: no campaign is refunded more than it was
+charged, and the merged per-campaign totals add up to the billing and
+pacing counters.
 """
 
 import functools
+import math
 from collections import Counter
 
 import pytest
@@ -49,6 +53,19 @@ def _assert_conservation_laws(result):
     names = Counter(event.name for event in result.events.sim_events())
     assert names["shard.merged"] + names["shard.lost"] \
         == names["shard.planned"] > 0
+    _assert_books_balance(result)
+
+
+def _assert_books_balance(result):
+    count = result.metrics.counter_value
+    reports = result.dataset.vendor_reports.values()
+    for report in reports:
+        assert 0 <= report.refunded_eur <= report.charged_eur
+    charged = sum(report.charged_eur for report in reports)
+    refunded = sum(report.refunded_eur for report in reports)
+    assert math.isclose(charged, count("billing.charged_eur"))
+    assert math.isclose(charged, count("pacing.spend_eur"))
+    assert math.isclose(refunded, count("billing.refunded_eur"))
 
 
 @settings(max_examples=6, deadline=None)
@@ -68,6 +85,16 @@ def test_ledger_counts_equal_report_aggregate_totals(seed, preset):
     if preset == "none":
         assert result.stats["logged"] \
             == result.coverage.counts.totals().unique
+
+
+@pytest.mark.parametrize("preset", ("none", "flaky", "hostile"))
+def test_vendor_books_balance_under_every_fault_plan(preset):
+    result = _run(2016, preset, scale=0.005)
+    reports = result.dataset.vendor_reports
+    assert any(report.refunded_eur > 0 for report in reports.values())
+    for campaign_id, report in reports.items():
+        assert report.total_impressions == result.delivered(campaign_id)
+    _assert_books_balance(result)
 
 
 @pytest.mark.xfail(strict=True, reason="a bit-flipped HELLO that still "
